@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "FieldMismatch",
@@ -19,6 +19,7 @@ __all__ = [
     "FieldElement",
     "QuadraticFactor",
     "as_fraction",
+    "common_denominator",
     "fraction_sqrt",
     "conj",
     "trace",
@@ -49,6 +50,11 @@ def as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
+
+
+def common_denominator(xs) -> int:
+    """Least common multiple of the denominators of ints and Fractions."""
+    return lcm(*{x.denominator for x in xs})
 
 
 def fraction_sqrt(x):
@@ -119,15 +125,6 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(other, 0, self.ext)
         return None
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def rational_value(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
 
     # -- arithmetic ------------------------------------------------------
 
@@ -393,13 +390,9 @@ def factor_small(coeffs, max_degree: int = 5):
     roots = []
     work = cs[:]
     while poly_degree(work) >= 1:
-        den = 1
-        for c in work:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = common_denominator(work)
         ints = [int(c * den) for c in work]
-        g = 0
-        for c in ints:
-            g = _gcd(g, abs(c))
+        g = gcd(*ints)
         ints = [c // g for c in ints]
         r = _rational_root(ints)
         if r is None:
@@ -418,12 +411,6 @@ def factor_small(coeffs, max_degree: int = 5):
     elif deg > 0:
         raise ValueError(f"irreducible factor of degree {deg} over Q")
     return sorted(roots, reverse=True), quads
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- serialization -----------------------------------------------------------

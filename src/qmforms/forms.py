@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 from . import oracle
 from .characters import (
@@ -27,7 +27,7 @@ from .characters import (
     twist,
     twisted_level,
 )
-from .exactnum import format_element
+from .exactnum import common_denominator, format_element
 from .qseries import QSeries, eta_quotient, one, rc_bracket1
 
 __all__ = [
@@ -64,10 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 256
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +103,7 @@ def _eta_level(spec) -> int:
     """Smallest multiple L of lcm(d) with sum (L/d) r_d divisible by 24."""
     base = 1
     for d, _ in spec:
-        base = _lcm(base, d)
+        base = lcm(base, d)
     for k in range(1, 25):
         level = k * base
         if sum((level // d) * r for d, r in spec) % 24 == 0:
@@ -155,7 +151,7 @@ def derive_expr(e: FormExpr, i: int = 1) -> FormExpr:
 def product_expr(*es: FormExpr) -> FormExpr:
     lvl = 1
     for e in es:
-        lvl = _lcm(lvl, e.level)
+        lvl = lcm(lvl, e.level)
     return _mk("product", es, (), sum(e.weight for e in es), sum(e.depth for e in es), lvl)
 
 
@@ -174,7 +170,7 @@ def root_expr(e: FormExpr, n: int) -> FormExpr:
 def rc1_expr(f: FormExpr, g: FormExpr) -> FormExpr:
     if f.depth or g.depth:
         raise ValueError("bracket arguments must be modular (depth 0)")
-    return _mk("rc1", (f, g), (), f.weight + g.weight + 2, 0, _lcm(f.level, g.level))
+    return _mk("rc1", (f, g), (), f.weight + g.weight + 2, 0, lcm(f.level, g.level))
 
 
 def twist_expr(e: FormExpr, chi: DirichletCharacter) -> FormExpr:
@@ -190,7 +186,7 @@ def scale_expr(c, e: FormExpr) -> FormExpr:
 def sum_expr(*es: FormExpr) -> FormExpr:
     lvl = 1
     for e in es:
-        lvl = _lcm(lvl, e.level)
+        lvl = lcm(lvl, e.level)
     return _mk("sum", es, (), max(e.weight for e in es), max(e.depth for e in es), lvl)
 
 
@@ -253,18 +249,11 @@ def expr_str(e: FormExpr) -> str:
 # basic series
 
 
-def _tighten(f: QSeries) -> QSeries:
-    cs = [c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c for c in f.coeffs]
-    return QSeries(cs, f.prec, f.ext)
-
-
 def eisenstein(k: int, n: int = 1, prec: int = DEFAULT_PREC) -> QSeries:
     """E_k(n z) = 1 - (2k/B_k) sum sigma_{k-1}(m) q^{nm}."""
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be even and >= 2, got {k}")
     scale = -Fraction(2 * k) / bernoulli(k)
-    if scale.denominator == 1:
-        scale = scale.numerator
     sig = oracle.sigma_table(k - 1, prec // n)
     cs = [0] * (prec + 1)
     cs[0] = 1
@@ -289,8 +278,7 @@ def phi(a: int, b: int, prec: int = DEFAULT_PREC) -> QSeries:
         if m % a == 0:
             s += 24 * a * siga[m // a]
         if s:
-            v = Fraction(s, den)
-            cs[m] = v.numerator if v.denominator == 1 else v
+            cs[m] = Fraction(s, den)
     return QSeries(cs, prec)
 
 
@@ -319,8 +307,7 @@ def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t:
     for m in range(1, prec // t + 1):
         s = sigma_twisted(psi, chi, k - 1, m)
         if s:
-            v = scale * s
-            cs[t * m] = v.numerator if v.denominator == 1 else v
+            cs[t * m] = scale * s
     return QSeries(cs, prec)
 
 
@@ -355,7 +342,7 @@ def _cat_delta_4_7(prec):
 
 def _cat_delta_6_5(prec):
     e, s = named_form("delta_4_5", prec)
-    return product_expr(e, phi_expr(1, 5)), _tighten(s * phi(1, 5, prec))
+    return product_expr(e, phi_expr(1, 5)), s * phi(1, 5, prec)
 
 
 def _cat_rescale(label, base, d):
@@ -368,7 +355,7 @@ def _cat_rescale(label, base, d):
 
 def _cat_f_6_10(prec):
     e, s = named_form("delta_4_5", prec)
-    p = _tighten(3 * phi(1, 10, prec))
+    p = 3 * phi(1, 10, prec)
     return scale_expr(3, product_expr(e, phi_expr(1, 10))), s * p
 
 
@@ -386,13 +373,13 @@ def _cat_hecke(label, base, p, weight, level):
 
 def _cat_f1_6_10(prec):
     e, s = named_form("delta_4_5", prec)
-    return product_expr(e, phi_expr(1, 2)), _tighten(s * phi(1, 2, prec))
+    return product_expr(e, phi_expr(1, 2)), s * phi(1, 2, prec)
 
 
 def _cat_g2_8_5(prec):
     e, s = named_form("delta_4_5", prec)
     p = phi(1, 5, prec)
-    return product_expr(e, power_expr(phi_expr(1, 5), 2)), _tighten(s * (p * p))
+    return product_expr(e, power_expr(phi_expr(1, 5), 2)), s * (p * p)
 
 
 def _cat_g3_8_5(prec):
@@ -400,14 +387,14 @@ def _cat_g3_8_5(prec):
     p = phi(1, 5, prec)
     br = rc_bracket1(e4, 4, p, 2)
     expr = scale_expr(Fraction(-1, 24), rc1_expr(eis(4), phi_expr(1, 5)))
-    return expr, _tighten(Fraction(-1, 24) * br)
+    return expr, Fraction(-1, 24) * br
 
 
 def _cat_c10(prec):
     # cuspidal projection of phi(1,5) * 9 phi(1,10): T_3 - (1 + 3^3) kills
     # the Eisenstein part of M_4(Gamma0(10)) and is invertible on cusp forms
-    prod = _tighten(phi(1, 5, 3 * prec) * (9 * phi(1, 10, 3 * prec)))
-    img = _tighten(prod.hecke(3, 4, 10) - 28 * prod.truncate(prec))
+    prod = phi(1, 5, 3 * prec) * (9 * phi(1, 10, 3 * prec))
+    img = prod.hecke(3, 4, 10) - 28 * prod.truncate(prec)
     return named("c10", 4, 0, 10), img
 
 
@@ -549,11 +536,7 @@ def _eisenstein_pool(weight: int, level: int, prec: int):
 
 
 def _primitive_scale(f: QSeries) -> QSeries:
-    den = 1
-    for c in f.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    return _tighten(f * den) if den != 1 else f
+    return f * common_denominator(f.coeffs)
 
 
 def _products_pool_13(prec: int):
@@ -703,9 +686,7 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     exprs = tuple(e for e, _ in pool)
     elements = []
     for row, combo in zip(rows, combos):
-        series = QSeries([c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
-                          for c in row])
-        elements.append((_combo_expr(combo, exprs), series))
+        elements.append((_combo_expr(combo, exprs), QSeries(row)))
     return SpaceBasis(weight, level, cuspidal, tuple(elements), tuple(pivots),
                       exprs, tuple(tuple(c) for c in combos))
 
@@ -784,7 +765,7 @@ def evaluate(expr: FormExpr, prec: int = DEFAULT_PREC) -> QSeries:
     if k == "twist":
         return twist(evaluate(expr.children[0], prec), expr.params[0])
     if k == "scale":
-        return _tighten(expr.params[0] * evaluate(expr.children[0], prec))
+        return expr.params[0] * evaluate(expr.children[0], prec)
     if k == "sum":
         acc = None
         for c in expr.children:
@@ -794,7 +775,7 @@ def evaluate(expr: FormExpr, prec: int = DEFAULT_PREC) -> QSeries:
     if k == "named":
         return named_form(expr.params[0], prec)[1]
     if k == "const":
-        return _tighten(expr.params[0] * one(prec))
+        return expr.params[0] * one(prec)
     raise ValueError(f"cannot evaluate expression kind {k!r}")
 
 
@@ -814,9 +795,6 @@ def _tokenize(text: str):
         pos = m.end()
     out.append(None)
     return out
-
-
-_CHAR_NAMES = {"one": trivial_character}
 
 
 def _char_by_name(name: str) -> DirichletCharacter:

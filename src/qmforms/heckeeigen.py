@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import forms, linalg
 from .exactnum import (
@@ -130,12 +131,6 @@ def _validate_newform(nf: Newform):
     for m, n in ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 9)):
         if m * n <= bound and s.coeff(m * n) != s.coeff(m) * s.coeff(n):
             raise ValueError(f"{nf.label}: a({m}*{n}) constraint fails")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +554,7 @@ def _multiplicative_ok(f: QSeries, weight: int, level: int) -> bool:
     bound = min(f.prec, 200)
     for m in range(2, bound + 1):
         for n in range(m, bound // m + 1):
-            if _gcd(m, n) != 1:
+            if gcd(m, n) != 1:
                 continue
             if f.coeff(m * n) != f.coeff(m) * f.coeff(n):
                 return False

@@ -61,9 +61,6 @@ class IdentitySpec:
     rhs: tuple
     nmax: int
 
-    def tau_names(self):
-        return sorted({t.label for t in self.rhs if t.kind == "tau"})
-
 
 @dataclass(frozen=True)
 class Report:

@@ -1,15 +1,16 @@
 """Truncated formal power series in q with exact coefficients.
 
 A QSeries holds coefficients for exponents 0..prec inclusive.  Coefficients
-are ints, Fractions, or FieldElements over a single quadratic descriptor;
-reads beyond the stored precision raise, they never return zero silently.
+are ints, non-integral Fractions, or FieldElements over a single quadratic
+descriptor (an integral Fraction is stored as an int); reads beyond the
+stored precision raise, they never return zero silently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import FieldElement, FieldMismatch, format_element
+from .exactnum import FieldElement, FieldMismatch, common_denominator, format_element
 
 __all__ = [
     "PrecisionError",
@@ -39,11 +40,56 @@ def _coeff_ext(c):
     return c.ext if isinstance(c, FieldElement) else None
 
 
+def _normal(c):
+    """The stored form of a coefficient: an integral Fraction becomes an int."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _split(cs):
+    """Rational parts a and t-parts b of coefficients a + b*t."""
+    return ([c.a if isinstance(c, FieldElement) else c for c in cs],
+            [c.b if isinstance(c, FieldElement) else 0 for c in cs])
+
+
+def _rational_product(xs, ys):
+    """First len(xs) coefficients of the product of two rational series.
+
+    Kronecker substitution: both lists are scaled to ints by their common
+    denominators and packed into one int each, one w-bit digit per
+    coefficient, so a single big-int multiply does the whole convolution.
+    Every product coefficient is a sum of at most n terms, so with
+    2**(w-1) > max|x| * max|y| * n each one fits in a digit as a signed value;
+    adding 2**(w-1) to every digit makes them all nonnegative for unpacking.
+    """
+    n = len(xs)
+    dx, dy = common_denominator(xs), common_denominator(ys)
+    xi = [x.numerator * (dx // x.denominator) for x in xs]
+    yi = [y.numerator * (dy // y.denominator) for y in ys]
+    bound = max(map(abs, xi)) * max(map(abs, yi)) * n
+    if not bound:  # a zero operand; the digit width below also bounds each |x| and |y|
+        return [0] * n
+    nb = (bound.bit_length() + 8) // 8  # digit bytes: 2**(8*nb - 1) > bound
+    half = 1 << (8 * nb - 1)
+    bias = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
+
+    def pack(cs):
+        return int.from_bytes(b"".join((c + half).to_bytes(nb, "little") for c in cs), "little") - bias
+
+    low = (pack(xi) * pack(yi) + bias) & ((1 << (8 * nb * n)) - 1)
+    digits = low.to_bytes(nb * n, "little")
+    d = dx * dy
+    out = []
+    for i in range(0, nb * n, nb):
+        z = int.from_bytes(digits[i : i + nb], "little") - half
+        out.append(Fraction(z, d) if z % d else z // d)
+    return out
+
+
 class QSeries:
     __slots__ = ("prec", "coeffs", "ext")
 
     def __init__(self, coeffs, prec=None, ext=None):
-        coeffs = list(coeffs)
+        coeffs = [_normal(c) for c in coeffs]
         if prec is None:
             prec = len(coeffs) - 1
         if prec < 0:
@@ -51,8 +97,8 @@ class QSeries:
         if len(coeffs) > prec + 1:
             raise ValueError("more coefficients than the declared precision")
         coeffs.extend([0] * (prec + 1 - len(coeffs)))
-        for c in coeffs:
-            ext = _join_ext(ext, _coeff_ext(c))
+        for e in {c.ext for c in coeffs if isinstance(c, FieldElement)}:
+            ext = _join_ext(ext, e)
         self.prec = prec
         self.coeffs = tuple(coeffs)
         self.ext = ext
@@ -121,23 +167,19 @@ class QSeries:
             return NotImplemented
         p = min(self.prec, other.prec)
         ext = _join_ext(self.ext, other.ext)
-        fc, gc = self.coeffs, other.coeffs
-        out = [0] * (p + 1)
-        for i in range(min(len(fc) - 1, p) + 1):
-            fi = fc[i]
-            if not fi:
-                continue
-            lim = p - i
-            if fi == 1:
-                for j in range(min(len(gc) - 1, lim) + 1):
-                    gj = gc[j]
-                    if gj:
-                        out[i + j] += gj
-            else:
-                for j in range(min(len(gc) - 1, lim) + 1):
-                    gj = gc[j]
-                    if gj:
-                        out[i + j] += fi * gj
+        fc, gc = self.coeffs[: p + 1], other.coeffs[: p + 1]
+        if ext is None:
+            return QSeries(_rational_product(fc, gc), p)
+        # (a1 + b1 t)(a2 + b2 t) with t^2 = p t + q, from three rational products
+        a1, b1 = _split(fc)
+        a2, b2 = _split(gc)
+        aa = _rational_product(a1, a2)
+        bb = _rational_product(b1, b2)
+        ss = _rational_product([x + y for x, y in zip(a1, b1)], [x + y for x, y in zip(a2, b2)])
+        out = []
+        for x, y, z in zip(aa, bb, ss):
+            a, b = x + ext.q * y, z - x - y + ext.p * y
+            out.append(FieldElement(a, b, ext) if b else a)
         return QSeries(out, p, ext)
 
     __rmul__ = __mul__
@@ -225,10 +267,7 @@ class QSeries:
                     s += j * fj * c[m - j]
                 if cj:
                     s -= n * j * cj * f[m - j]
-            val = Fraction(s, n * m) if isinstance(s, int) else s / (n * m)
-            if isinstance(val, Fraction) and val.denominator == 1:
-                val = val.numerator
-            c[m] = val
+            c[m] = _normal(s * Fraction(1, n * m))
         out = [0] * (v // n) + c
         return QSeries(out, v // n + pf, self.ext)
 

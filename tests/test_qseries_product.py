@@ -1,0 +1,105 @@
+"""The Kronecker-substitution series product against the schoolbook product."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmforms.exactnum import FieldElement, FieldMismatch, QuadExt
+from qmforms.forms import eisenstein, named_form, phi
+from qmforms.qseries import QSeries, eta_quotient
+
+
+def schoolbook(f: QSeries, g: QSeries) -> QSeries:
+    """Reference product: the plain double loop over coefficient pairs."""
+    p = min(f.prec, g.prec)
+    ext = f.ext if f.ext is not None else g.ext
+    fc, gc = f.coeffs, g.coeffs
+    out = [0] * (p + 1)
+    for i in range(min(len(fc) - 1, p) + 1):
+        fi = fc[i]
+        if not fi:
+            continue
+        for j in range(min(len(gc) - 1, p - i) + 1):
+            gj = gc[j]
+            if gj:
+                out[i + j] += fi * gj
+    return QSeries(out, p, ext)
+
+
+def assert_same_product(f: QSeries, g: QSeries):
+    got, want = f * g, schoolbook(f, g)
+    assert got == want
+    assert got.to_record() == want.to_record()
+
+
+EXT = QuadExt(1, 3)    # t^2 = t + 3
+OTHER = QuadExt(0, 5)  # t^2 = 5
+
+small_ints = st.integers(-10**6, 10**6)
+huge_ints = st.integers(10**40 - 10**6, 10**40 + 10**6) | st.integers(-10**40 - 10**6, -10**40 + 10**6)
+rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+integral_fractions = small_ints.map(Fraction)
+rational_coeffs = st.one_of(st.just(0), small_ints, huge_ints, rationals, integral_fractions)
+quadratic_coeffs = st.one_of(
+    rational_coeffs,
+    st.builds(FieldElement, rationals, rationals, st.just(EXT)),
+    st.builds(FieldElement, small_ints, st.just(0), st.just(EXT)),
+)
+
+
+@st.composite
+def series(draw, coeffs, max_prec=40):
+    prec = draw(st.integers(0, max_prec))
+    cs = draw(st.lists(coeffs, max_size=prec + 1))
+    return QSeries(cs, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series(rational_coeffs), series(rational_coeffs))
+def test_rational_product_matches_schoolbook(f, g):
+    assert_same_product(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series(quadratic_coeffs, max_prec=20), series(quadratic_coeffs, max_prec=20))
+def test_quadratic_product_matches_schoolbook(f, g):
+    assert_same_product(f, g)
+
+
+@pytest.mark.parametrize("f, g", [
+    (QSeries([0], 5), QSeries([1, 2, 3], 5)),
+    (QSeries([0], 0), QSeries([0], 0)),
+    (QSeries([7], 0), QSeries([Fraction(-3, 4)], 0)),
+    (QSeries([1, -1, 2], 2), QSeries([3, 0, 0, 0, 5], 9)),
+    (QSeries([10**40, -(10**40)], 3), QSeries([-(10**40) + 1, 10**40 - 1, 10**40], 3)),
+    (QSeries([Fraction(5), Fraction(-6)], 1), QSeries([Fraction(1, 3), Fraction(2)], 1)),
+    (QSeries([FieldElement(0, 1, EXT)], 4), QSeries([FieldElement(0, 1, EXT)], 4)),
+    (QSeries([FieldElement(2, 0, EXT), 0, Fraction(1, 2)], 3), QSeries([1, FieldElement(1, -1, EXT)], 2)),
+])
+def test_edge_cases(f, g):
+    assert_same_product(f, g)
+
+
+def test_integral_fractions_are_stored_as_ints():
+    h = QSeries([Fraction(4, 2), Fraction(1, 3)]) * QSeries([Fraction(3), Fraction(-6)])
+    assert [type(c) for c in h.coeffs] == [int, int]
+    assert h.coeffs == (6, -11)
+    assert type((QSeries([Fraction(1, 2)]) * QSeries([Fraction(1, 3)])).coeffs[0]) is Fraction
+
+
+def test_different_descriptors_raise():
+    f = QSeries([1, FieldElement(0, 1, EXT)], 1)
+    g = QSeries([1, FieldElement(0, 1, OTHER)], 1)
+    with pytest.raises(FieldMismatch):
+        f * g
+
+
+def test_truncation_commutes_with_the_product():
+    forms = [phi(1, 5, 512), 9 * phi(1, 10, 512), eisenstein(4, 1, 512),
+             eta_quotient(((1, 4), (5, 4)), 512), named_form("delta_4_7", 512)[1]]
+    for f in forms:
+        for g in forms:
+            assert (f * g).truncate(128) == f.truncate(128) * g.truncate(128)
+    assert_same_product(forms[0].truncate(128), forms[1].truncate(128))
