@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import oracle
+from . import linalg, oracle
 from .characters import (
     DirichletCharacter,
     bernoulli,
@@ -635,46 +635,6 @@ def _combo_expr(combo, exprs) -> FormExpr:
     return terms[0] if len(terms) == 1 else sum_expr(*terms)
 
 
-def _echelonize(pool, expected_dim: int, what: str):
-    if not pool:
-        if expected_dim:
-            raise ValueError(f"insufficient generator pool for {what}")
-        return [], [], []
-    prec = min(s.prec for _, s in pool)
-    n = len(pool)
-    rows = [list(s.coeffs[: prec + 1]) for _, s in pool]
-    combos = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(prec + 1):
-        pr = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        combos[r], combos[pr] = combos[pr], combos[r]
-        inv = rows[r][col]
-        if inv != 1:
-            if isinstance(inv, int):
-                inv = Fraction(inv)
-            rows[r] = [x / inv if x else x for x in rows[r]]
-            combos[r] = [x / inv for x in combos[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-                combos[i] = [a - f * b for a, b in zip(combos[i], combos[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    rank = len(pivots)
-    if rank < expected_dim:
-        raise ValueError(f"insufficient generator pool for {what}: rank {rank} < {expected_dim}")
-    if rank > expected_dim:
-        raise ValueError(f"dimension table violated for {what}: rank {rank} > {expected_dim}")
-    return rows[:rank], pivots, combos[:rank]
-
-
 @lru_cache(maxsize=None)
 def space_basis(weight: int, level: int, cuspidal: bool = False,
                 prec: int = DEFAULT_PREC) -> SpaceBasis:
@@ -682,13 +642,16 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     dim = dimension(weight, level, cuspidal)
     pool = _cusp_pool(weight, level, prec) if cuspidal else _bootstrap_pool(weight, level, prec)
     what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
-    rows, pivots, combos = _echelonize(pool, dim, what)
+    p = min((s.prec for _, s in pool), default=0)
+    ech = linalg.rref([s.coeffs[: p + 1] for _, s in pool])
+    if ech.rank < dim:
+        raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
+    if ech.rank > dim:
+        raise ValueError(f"dimension table violated for {what}: rank {ech.rank} > {dim}")
     exprs = tuple(e for e, _ in pool)
-    elements = []
-    for row, combo in zip(rows, combos):
-        elements.append((_combo_expr(combo, exprs), QSeries(row)))
-    return SpaceBasis(weight, level, cuspidal, tuple(elements), tuple(pivots),
-                      exprs, tuple(tuple(c) for c in combos))
+    combos = tuple(tuple(c) for c in ech.transform[: ech.rank])
+    elements = tuple((_combo_expr(c, exprs), QSeries(row)) for c, row in zip(combos, ech.rows))
+    return SpaceBasis(weight, level, cuspidal, elements, ech.pivots, exprs, combos)
 
 
 def generator_pool(weight: int, level: int, cuspidal: bool = False,

@@ -139,26 +139,23 @@ def _validate_newform(nf: Newform):
 
 def hecke_matrix(space: forms.SpaceBasis, p: int):
     """Matrix of T_p in the echelon basis, columns indexed by basis elements."""
-    pivots = space.pivots
     dim = len(space.elements)
-    margin = dim + 2
-    if space.prec < p * (pivots[-1] + margin):
+    if dim == 0:
+        return []
+    if space.prec < p * (space.pivots[-1] + dim + 2):
         raise PrecisionError(
             f"basis precision {space.prec} too low for T_{p} on {dim} elements"
         )
-    series = space.series()
+    ech = linalg.rref([s.coeffs for s in space.series()])
     cols = []
-    for s in series:
-        g = s.hecke(p, space.weight, space.level)
-        coords = [g.coeff(pi) for pi in pivots]
-        for n in range(g.prec + 1):
-            val = sum(c * series[i].coeff(n) for i, c in enumerate(coords) if c)
-            if val != g.coeff(n):
-                raise ValueError(
-                    f"T_{p} image leaves the space (exponent {n}); pool is not stable"
-                )
+    for s in space.series():
+        coords, fail = ech.coords(s.hecke(p, space.weight, space.level).coeffs)
+        if fail is not None:
+            raise ValueError(
+                f"T_{p} image leaves the space (exponent {fail}); pool is not stable"
+            )
         cols.append(coords)
-    return [[linalg.promote(cols[j][i]) for j in range(dim)] for i in range(dim)]
+    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +165,12 @@ def hecke_matrix(space: forms.SpaceBasis, p: int):
 def _restrict(op, basis_vectors):
     """Matrix of a linear map on the subspace spanned by basis_vectors."""
     dim = len(op)
+    ech = linalg.rref(basis_vectors)
     images = []
     for v in basis_vectors:
         img = [sum(op[i][j] * v[j] for j in range(dim)) for i in range(dim)]
-        coords = linalg.coords_in_span(basis_vectors, img)
-        if coords is None:
+        coords, fail = ech.coords(img)
+        if fail is not None:
             raise ValueError("subspace not stable under the operator")
         images.append(coords)
     return [[images[j][i] for j in range(len(basis_vectors))] for i in range(len(basis_vectors))]
@@ -236,12 +234,6 @@ def _combine(space: forms.SpaceBasis, coords) -> QSeries:
     return acc
 
 
-def _in_old_span(vectors, old_coords) -> bool:
-    if not old_coords:
-        return False
-    return all(linalg.coords_in_span(old_coords, v) is not None for v in vectors)
-
-
 def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
     """Newforms of a cusp space, by Hecke diagonalization.
 
@@ -250,24 +242,28 @@ def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
     be totally real unless the corresponding subspace is old.
     """
     dim = len(space.elements)
-    pivots = space.pivots
+    ech = linalg.rref([s.coeffs for s in space.series()])
     old_coords = []
     for s in old_span:
-        coords = [linalg.promote(s.coeff(pi)) for pi in pivots]
-        rebuilt = _combine(space, coords)
-        bound = min(s.prec, rebuilt.prec)
-        if any(rebuilt.coeff(n) != s.coeff(n) for n in range(bound + 1)):
+        coords, fail = ech.coords(s.coeffs)
+        if fail is not None:
             raise ValueError("old form does not lie in the cusp space")
         old_coords.append(coords)
-    expected = dim - len(old_coords)
+    old = linalg.rref(old_coords)
+
+    def is_old(v):
+        return old.coords(v)[1] is None
+
+    expected = dim - old.rank
     identity = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
     pieces = []
-    _split_subspace(space, identity, {}, 0, pieces)
+    if dim:
+        _split_subspace(space, identity, {}, 0, pieces)
     out = []
     for piece in pieces:
         if piece[0] == "vec":
             v = piece[1]
-            if old_coords and linalg.coords_in_span(old_coords, v) is not None:
+            if is_old(v):
                 continue
             f = _combine(space, v)
             lead = f.coeff(f.valuation())
@@ -275,7 +271,7 @@ def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
             out.append((None, f))
         else:
             _, qf, vectors, (op, basis_vectors) = piece
-            if _in_old_span(vectors, old_coords):
+            if all(is_old(v) for v in vectors):
                 continue
             if not qf.totally_real:
                 raise ValueError(
@@ -286,7 +282,7 @@ def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
             n = len(op)
             shifted = [[FieldElement(op[i][j], 0, ext) - (t if i == j else 0)
                         for j in range(n)] for i in range(n)]
-            kern = linalg.nullspace(shifted, n)
+            kern = linalg.nullspace(shifted)
             if len(kern) != 1:
                 raise ValueError("quadratic eigenvalue is not simple")
             v = _lift(kern[0], basis_vectors)

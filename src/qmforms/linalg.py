@@ -1,64 +1,137 @@
 """Dense exact linear algebra over Q or a quadratic extension.
 
-Matrix entries are Fractions or FieldElements (ints are promoted); all
-elimination is exact, with no pivoting heuristics beyond "first nonzero".
+Matrix entries are ints, Fractions or FieldElements.  Every elimination in
+the engine goes through one routine, `Echelon`; `rref`, `solve` and
+`nullspace` are thin entries to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-__all__ = ["promote", "rref", "nullspace", "solve", "coords_in_span", "charpoly"]
+from .exactnum import common_denominator
 
-
-def promote(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
-def _rows_copy(rows):
-    return [[promote(x) for x in row] for row in rows]
+__all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (matrix, pivot column list)."""
-    m = _rows_copy(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+def _scaled(v):
+    """(w, d) with v = w / d: w integral and d > 0 if v is rational, else (v, 1)."""
+    if all(isinstance(x, (int, Fraction)) for x in v):
+        d = common_denominator(v)
+        return [x.numerator * (d // x.denominator) for x in v], d
+    return v, 1
 
 
-def nullspace(rows, ncols=None):
+def _div(g, d: int):
+    """g / d for an int d > 0, exact for int, Fraction and FieldElement g."""
+    if d == 1:
+        return g
+    return Fraction(g, d) if isinstance(g, int) else g / d
+
+
+def _dot(w, col):
+    return sum(a * b for a, b in zip(w, col) if a)
+
+
+def _lincomb(w, rows, m: int):
+    """The first m entries of sum_j w[j] * rows[j]."""
+    acc = [0] * m
+    for a, row in zip(w, rows):
+        if a:
+            acc = [s + a * x for s, x in zip(acc, row)]
+    return acc
+
+
+class Echelon:
+    """Reduced row echelon form R = T·A of the rows A, kept as the transform T.
+
+    Columns are scanned left to right; a column's pivot is the first row, at
+    or below the current rank, whose entry in R is nonzero.  Only T is
+    eliminated (R's entries in a column are read off as T·A when the scan
+    reaches it), and the scan stops once every row has a pivot, so a long
+    tail of columns costs nothing.  The first `rank` rows of T express the
+    nonzero rows of R in the input rows; the rest span the left kernel.
+    """
+
+    def __init__(self, rows):
+        self.source = list(rows)
+        n = len(self.source)
+        self.ncols = len(self.source[0]) if n else 0
+        t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        # each row of T as integers over a common denominator, for the dot products
+        w = [_scaled(row) for row in t]
+        pivots = []
+        for c in range(self.ncols):
+            r = len(pivots)
+            if r == n:
+                break
+            col = [a[c] for a in self.source]
+            pr = next((i for i in range(r, n) if _dot(w[i][0], col) != 0), None)
+            if pr is None:
+                continue
+            t[r], t[pr] = t[pr], t[r]
+            w[r], w[pr] = w[pr], w[r]
+            vals = [_div(_dot(wi, col), d) for wi, d in w]
+            t[r] = [x / vals[r] for x in t[r]]
+            w[r] = _scaled(t[r])
+            for i, f in enumerate(vals):
+                if i != r and f:
+                    t[i] = [a - f * b if b else a for a, b in zip(t[i], t[r])]
+                    w[i] = _scaled(t[i])
+            pivots.append(c)
+        self.transform = t
+        self.pivots = tuple(pivots)
+        self.rank = len(pivots)
+
+    @cached_property
+    def rows(self):
+        """The nonzero rows of R, each formed in integers and divided once."""
+        out = []
+        for tk in self.transform[: self.rank]:
+            wk, d = _scaled(tk)
+            out.append([_div(g, d) for g in _lincomb(wk, self.source, self.ncols)])
+        return out
+
+    def kernel(self):
+        """Basis of the right kernel {x : A x = 0}, one vector per free column."""
+        basis = []
+        for fc in (c for c in range(self.ncols) if c not in self.pivots):
+            v = [Fraction(0)] * self.ncols
+            v[fc] = Fraction(1)
+            for row, pc in zip(self.rows, self.pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+        return basis
+
+    def coords(self, v):
+        """Coordinates x over the input rows, and the first column where x·A != v.
+
+        x matches v on the pivot columns; every column that v and the rows
+        both have is then checked, and the first mismatch is returned in place
+        of None.  With no rows the span is {0}, checked on every column of v.
+        """
+        x = [Fraction(0)] * len(self.source)
+        for tk, pc in zip(self.transform, self.pivots):
+            y = v[pc]
+            if y:
+                x = [a + y * b if b else a for a, b in zip(x, tk)]
+        m = min(len(v), self.ncols) if self.source else len(v)
+        w, d = _scaled(x)
+        acc = _lincomb(w, self.source, m)
+        fail = next((c for c, (g, y) in enumerate(zip(acc, v)) if g != d * y), None)
+        return x, fail
+
+
+def rref(rows) -> Echelon:
+    """The reduced row echelon form of a list of rows."""
+    return Echelon(rows)
+
+
+def nullspace(rows):
     """Basis of the right kernel of the matrix, one vector per free column."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return rref(rows).kernel()
+
 
 def solve(rows, rhs):
     """Solve A x = b exactly; returns x or None if inconsistent.
@@ -67,42 +140,27 @@ def solve(rows, rhs):
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
+    ech = rref([list(col) for col in zip(*rows)])
+    x, fail = ech.coords(rhs)
+    if fail is not None:
         return None
-    if len(pivots) < ncols:
+    if ech.rank < len(x):
         raise ValueError("underdetermined system")
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
     return x
-
-
-def coords_in_span(basis_rows, v):
-    """Coordinates of v in the row span of basis_rows, or None."""
-    if not basis_rows:
-        return None if any(promote(x) != 0 for x in v) else []
-    cols = [[row[j] for row in basis_rows] for j in range(len(v))]
-    sol = solve(cols, list(v))
-    return sol
 
 
 def charpoly(mat):
     """Characteristic polynomial det(X*I - M), coefficients low to high."""
     n = len(mat)
-    m = _rows_copy(mat)
     # Faddeev-LeVerrier: M_1 = M, c_k = -tr(M_k)/k, M_{k+1} = M (M_k + c_k I)
-    cs = [Fraction(1)]  # leading coefficient
-    mk = [row[:] for row in m]
+    mk = [list(row) for row in mat]
     coeffs = []
     for k in range(1, n + 1):
-        ck = -sum(mk[i][i] for i in range(n)) / k
+        ck = -sum(mk[i][i] for i in range(n)) / Fraction(k)
         coeffs.append(ck)
         if k == n:
             break
         for i in range(n):
             mk[i][i] += ck
-        mk = [[sum(m[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-    return list(reversed(coeffs)) + cs
+        mk = [[sum(mat[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return list(reversed(coeffs)) + [Fraction(1)]

@@ -2,8 +2,8 @@
 
 A weight-k depth-graded basis is the union over i of D^i applied to a basis
 of the weight k-2i modular forms, together with D^(k/2-1) E_2.  Solving is
-exact Gaussian elimination on coefficient rows; every surplus coefficient up
-to the target precision is then checked, and any mismatch is a hard error.
+one exact echelon of the basis expansions; every coefficient up to the
+target precision is then checked, and any mismatch is a hard error.
 """
 
 from __future__ import annotations
@@ -151,10 +151,10 @@ def mixed_qm_basis(weights, level: int, prec: int = forms.DEFAULT_PREC,
 def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
     """Exact coordinates of the target in the basis, surplus-verified.
 
-    Solves on the first full-rank set of coefficient rows (scanning exponents
-    upward), then checks every remaining coefficient up to the common
-    precision.  Raises on dependent bases, on inconsistency, and when the
-    precision falls short of the verification margin.
+    Solves on the first exponents that make the basis full rank (scanning
+    upward), then checks every coefficient up to the common precision.
+    Raises on dependent bases, on the first exponent that fails the check,
+    and when the precision falls short of the verification margin.
     """
     ncols = len(basis)
     if ncols == 0:
@@ -165,41 +165,12 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
         raise PrecisionError(
             f"target precision {prec} below required margin {max(margin, 2 * ncols)}"
         )
-    cols = basis.series()
-    rows = []
-    rhs = []
-    pivots_found = 0
-    aug = []
-    for n in range(prec + 1):
-        row = [linalg.promote(s.coeff(n)) for s in cols]
-        aug.append((row, linalg.promote(target.coeff(n))))
-        if pivots_found < ncols:
-            rows.append(row)
-            rhs.append(linalg.promote(target.coeff(n)))
-            _, piv = linalg.rref(rows)
-            if len(piv) < len(rows):
-                rows.pop()
-                rhs.pop()
-            else:
-                pivots_found += 1
-        if pivots_found == ncols:
-            break
-    if pivots_found < ncols:
+    ech = linalg.rref([s.coeffs[: prec + 1] for s in basis.series()])
+    if ech.rank < ncols:
         raise ValueError("basis is linearly dependent on the available coefficients")
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise ValueError("inconsistent system on the solving rows")
-    for n in range(prec + 1):
-        row, t = aug[n] if n < len(aug) else (None, None)
-        if row is None:
-            row = [linalg.promote(s.coeff(n)) for s in cols]
-            t = linalg.promote(target.coeff(n))
-        val = 0
-        for c, a in zip(sol, row):
-            if c and a:
-                val = val + c * a
-        if val != t:
-            raise ValueError(f"decomposition fails verification at exponent {n}")
+    sol, fail = ech.coords(target.coeffs[: prec + 1])
+    if fail is not None:
+        raise ValueError(f"decomposition fails verification at exponent {fail}")
     return Decomposition(basis, tuple(sol), prec)
 
 

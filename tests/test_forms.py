@@ -114,11 +114,13 @@ def test_echelon_property():
 
 
 def test_echelon_unique_under_pool_permutation():
-    from qmforms.forms import _bootstrap_pool, _echelonize
+    from qmforms.forms import _bootstrap_pool
+    from qmforms.linalg import rref
 
-    pool = _bootstrap_pool(4, 6, P)
-    rows1, piv1, _ = _echelonize(pool, 5, "test")
-    rows2, piv2, _ = _echelonize(list(reversed(pool)), 5, "test")
+    rows = [s.coeffs for _, s in _bootstrap_pool(4, 6, P)]
+    ech1, ech2 = rref(rows), rref(list(reversed(rows)))
+    rows1, piv1 = ech1.rows, ech1.pivots
+    rows2, piv2 = ech2.rows, ech2.pivots
     assert piv1 == piv2
     assert rows1 == rows2
 

@@ -5,6 +5,7 @@ import pytest
 from qmforms import forms, oracle
 from qmforms.exactnum import QuadExt
 from qmforms.heckeeigen import (
+    _OLD_SPANS,
     Registry,
     conj_series,
     extract_newforms,
@@ -73,6 +74,35 @@ def test_old_span_must_lie_in_space():
     bogus = forms.eisenstein(4, 1, P)
     with pytest.raises(ValueError):
         extract_newforms(sb, [bogus])
+
+
+def test_zero_dimensional_cusp_space():
+    sb = forms.space_basis(4, 1, True, P)
+    assert sb.elements == ()
+    assert hecke_matrix(sb, 2) == []
+    assert extract_newforms(sb) == []
+    assert multiplicativity_solve(sb) == []
+
+
+def test_dependent_old_span(reg):
+    sb = forms.space_basis(4, 10, True, P)
+    _, old = forms.named_form("delta_4_5", P)
+    span = [old, old.rescale(2).truncate(P), old]
+    nfs = extract_newforms(sb, span)
+    assert [nf.label for nf in nfs] == ["4.10.1"]
+    assert nfs[0].series == reg.newform("4.10.1").series
+
+
+def test_cross_precision_spaces_and_newforms(reg, reg512):
+    # built at 512 and truncated to 128, every space and newform equals the build at 128
+    for k, n in sorted(_OLD_SPANS):  # the spaces Registry.space_newforms builds
+        hi, lo = forms.space_basis(k, n, True, 512), forms.space_basis(k, n, True, P)
+        assert hi.pivots == lo.pivots
+        assert hi.combos == lo.combos
+        assert [(e, s.truncate(P)) for e, s in hi.elements] == list(lo.elements)
+    for label in reg.labels():
+        a, b = reg512.newform(label), reg.newform(label)
+        assert (a.ext, a.series.truncate(P)) == (b.ext, b.series)
 
 
 def test_multiplicativity_solve_matches_extract(reg):

@@ -1,0 +1,112 @@
+"""The one echelon routine: transform, rows, kernel and coordinates."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmforms.exactnum import FieldElement, QuadExt
+from qmforms.linalg import charpoly, nullspace, rref, solve
+
+EXT = QuadExt(2, 2)  # t^2 = 2t + 2
+
+rationals = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+quadratics = st.builds(lambda a, b: FieldElement(a, b, EXT), rationals, rationals)
+
+
+@st.composite
+def matrices(draw, entries=rationals, square=False):
+    """Matrices whose rows include linear combinations of the others and zero rows."""
+    ncols = draw(st.integers(1, 6))
+    nrows = ncols if square else draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, nrows - 1))
+        cs = draw(st.lists(st.integers(-2, 2), min_size=nrows, max_size=nrows))
+        rows[i] = [sum((c * r[j] for k, (c, r) in enumerate(zip(cs, rows)) if k != i), 0)
+                   for j in range(ncols)]
+    return rows
+
+
+def combination(x, rows):
+    return [sum((a * r[c] for a, r in zip(x, rows)), 0) for c in range(len(rows[0]))]
+
+
+def check_echelon(rows):
+    ech = rref(rows)
+    product = [combination(tk, rows) for tk in ech.transform]
+    assert product[: ech.rank] == ech.rows
+    assert all(x == 0 for row in product[ech.rank:] for x in row)
+    for k, (row, pc) in enumerate(zip(ech.rows, ech.pivots)):
+        assert all(x == 0 for x in row[:pc])
+        assert [row[p] for p in ech.pivots] == [int(i == k) for i in range(ech.rank)]
+    for v in ech.kernel():
+        assert all(x == 0 for x in combination(v, list(map(list, zip(*rows)))))
+    return ech
+
+
+def check_coords(ech, rows, y):
+    v = combination(y, rows)
+    x, fail = ech.coords(v)
+    assert fail is None
+    assert combination(x, rows) == v
+    free = next((c for c in range(len(v)) if c not in ech.pivots), None)
+    if free is not None:
+        # same pivot entries, so the same coordinates, off the span at `free` only
+        v[free] += 1
+        assert ech.coords(v) == (x, free)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_rational_echelon(rows, data):
+    ech = check_echelon(rows)
+    y = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    check_coords(ech, rows, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices(quadratics), st.data())
+def test_quadratic_field_echelon(rows, data):
+    ech = check_echelon(rows)
+    y = data.draw(st.lists(quadratics, min_size=len(rows), max_size=len(rows)))
+    check_coords(ech, rows, y)
+
+
+def test_field_element_rows_with_a_dependent_row():
+    t = EXT.gen()
+    a, b = [1, t, 0, 2 * t + 1], [t, 2 + t, 1, 0]
+    rows = [a, b, [x + t * y for x, y in zip(a, b)]]
+    ech = check_echelon(rows)
+    assert (ech.rank, ech.pivots) == (2, (0, 1))
+    assert len(ech.kernel()) == 2
+    check_coords(ech, rows, [t, 3, 0])
+
+
+def test_pivot_is_the_first_nonzero_row_at_or_below_the_rank():
+    # with a dependent row the transform depends on the rule, the rows do not
+    ech = rref([[0, 1], [1, 0], [1, 0]])
+    assert ech.pivots == (0, 1)
+    assert ech.transform == [[0, 1, 0], [1, 0, 0], [0, -1, 1]]
+    assert ech.rows == [[1, 0], [0, 1]]
+
+
+def test_no_rows_span_only_zero():
+    ech = rref([])
+    assert (ech.rank, ech.pivots, ech.rows, ech.kernel()) == (0, (), [], [])
+    assert ech.coords([0, 0]) == ([], None)
+    assert ech.coords([0, 3]) == ([], 1)
+
+
+def test_solve_unique_inconsistent_and_underdetermined():
+    assert solve([[1, 2], [3, 4]], [5, 6]) == [-4, Fraction(9, 2)]
+    assert solve([[1, 1], [1, 1]], [1, 2]) is None
+    with pytest.raises(ValueError, match="underdetermined"):
+        solve([[1, 1], [2, 2]], [1, 2])
+
+
+def test_nullspace_and_charpoly_of_a_small_matrix():
+    assert nullspace([[1, 2], [2, 4]]) == [[-2, 1]]
+    assert charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
