@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
+from .exactnum import factorize
 from .qseries import QSeries
 
 __all__ = [
@@ -69,21 +70,10 @@ def principal_character(n: int) -> DirichletCharacter:
     return DirichletCharacter(n, vals, False, f"chi0_{n}")
 
 
-def _is_odd_prime(m: int) -> bool:
-    if m < 3 or m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @lru_cache(maxsize=None)
 def quadratic_character(m: int) -> DirichletCharacter:
     """Legendre symbol character modulo an odd prime m."""
-    if not _is_odd_prime(m):
+    if m % 2 == 0 or factorize(m) != [(m, 1)]:
         raise ValueError(f"unsupported modulus {m} for a quadratic character")
     vals = [0] * m
     for c in range(1, m):

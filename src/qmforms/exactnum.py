@@ -24,7 +24,7 @@ __all__ = [
     "conj",
     "trace",
     "norm",
-    "quad_mul",
+    "factorize",
     "factor_small",
     "format_element",
     "parse_element",
@@ -229,15 +229,6 @@ class FieldElement:
 # -- module-level operations ----------------------------------------------
 
 
-def quad_mul(x, y):
-    """Product of two field elements sharing one descriptor."""
-    if isinstance(x, FieldElement):
-        return x * y
-    if isinstance(y, FieldElement):
-        return y * x
-    return as_fraction(x) * as_fraction(y)
-
-
 def conj(x):
     """Quadratic conjugate; rationals are fixed."""
     if isinstance(x, FieldElement):
@@ -310,9 +301,9 @@ def poly_eval(cs, x):
 
 
 def poly_divmod(a, b):
-    """Exact polynomial division with remainder over Q."""
-    a = [as_fraction(c) for c in poly_trim(a)]
-    b = [as_fraction(c) for c in poly_trim(b)]
+    """Exact polynomial division with remainder over Q or Q(t)."""
+    a = [c if isinstance(c, FieldElement) else as_fraction(c) for c in poly_trim(a)]
+    b = [c if isinstance(c, FieldElement) else as_fraction(c) for c in poly_trim(b)]
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
@@ -348,25 +339,37 @@ class QuadraticFactor:
         return QuadExt(self.p, self.q)
 
 
-def _int_divisors(n: int):
-    n = abs(n)
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of a positive integer as (prime, exponent) pairs, by trial division."""
     out = []
-    d = 1
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
         d += 1
-    return sorted(out)
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def _rational_root(ints):
     """One rational root of an integer-coefficient polynomial, or None."""
     if ints[0] == 0:
         return Fraction(0)
-    for r in _int_divisors(ints[0]):
-        for s in _int_divisors(ints[-1]):
+
+    def divisors(n):
+        ds = [1]
+        for p, e in factorize(abs(n)):
+            ds = [d * p**i for d in ds for i in range(e + 1)]
+        return sorted(ds)
+
+    dens = divisors(ints[-1])
+    for r in divisors(ints[0]):
+        for s in dens:
             for cand in (Fraction(r, s), Fraction(-r, s)):
                 if poly_eval(ints, cand) == 0:
                     return cand

@@ -408,7 +408,6 @@ _CATALOG = {
     "delta_8_2": _cat_eta("delta_8_2", ((1, 8), (2, 8))),
     "delta_2_11": _cat_eta("delta_2_11", ((1, 2), (11, 2))),
     "delta_2_14": _cat_eta("delta_2_14", ((1, 1), (2, 1), (7, 1), (14, 1))),
-    "x10": _cat_eta("x10", ((2, 4), (10, 4))),
     "c10": _cat_c10,
     "delta_6_5": _cat_delta_6_5,
     "f_4_5_2": _cat_rescale("f_4_5_2", "delta_4_5", 2),

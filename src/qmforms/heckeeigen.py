@@ -2,9 +2,9 @@
 
 Two independent routes are provided: diagonalization of Hecke operators on an
 echelonized cusp basis, and direct solution of the multiplicativity
-constraints a(p^2) = a(p)^2 - [p coprime to N] p^(k-1), a(pq) = a(p) a(q) on
-the echelon coordinates.  Both must produce the same eigenforms wherever both
-apply.
+constraints a(p^(r+1)) = a(p) a(p^r) - [p coprime to N] p^(k-1) a(p^(r-1)),
+a(mn) = a(m) a(n) for coprime m, n, on the echelon coordinates.  Both must
+produce the same eigenforms wherever both apply.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .exactnum import (
     as_fraction,
     conj,
     factor_small,
+    factorize,
     poly_add,
+    poly_divmod,
     poly_eval,
     poly_mul,
     poly_scale,
@@ -46,22 +48,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13)
 def conj_series(f: QSeries) -> QSeries:
     """Apply the quadratic conjugation to every coefficient."""
     return QSeries([conj(c) for c in f.coeffs], f.prec, f.ext)
-
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 @dataclass
@@ -91,7 +77,7 @@ class Newform:
         if n <= self.series.prec:
             return self.series.coeff(n)
         val = 1
-        for p, e in _factorize(n):
+        for p, e in factorize(n):
             if p > self.series.prec:
                 raise PrecisionError(f"prime {p} beyond stored precision {self.series.prec}")
             val = val * self._prime_power(p, e)
@@ -323,19 +309,18 @@ def _label_sorted(parts, weight: int, level: int) -> list[Newform]:
 # extraction by multiplicativity constraints
 #
 # On an echelon cusp basis V_1..V_d with pivots 1..d, a normalized eigenform
-# is f = V_1 + x_2 V_2 + ... + x_d V_d and a_j(f) = x_j for j <= d.  The
-# relations a(4) = a(2)^2 - eps2, a(6) = a(2) a(3), a(8) = a(2) a(4),
-# a(10) = a(2) a(5), a(15) = a(3) a(5) then cut the x_j down to finitely many
-# points, with every branch handled exactly.
+# is f = V_1 + x_2 V_2 + ... + x_d V_d, so a(j) = x_j for j <= d and every
+# a(n) is affine in the x_j.  With a(p) a symbol s, or fixed, the relations
+# a(p^r m) = h_r(a(p)) a(m), p not dividing m, where h_r is the Hecke
+# recurrence h_{r+1} = a(p) h_r - [p coprime to N] p^(k-1) h_{r-1}, are linear
+# in the remaining x_j with coefficients in K[s].  Fraction-free elimination
+# leaves constants whose gcd G(s) vanishes at every solution; at each root of
+# G the same elimination, now numeric, yields the x_j, and a root that leaves
+# some x_j free fixes a(p) and makes the next prime the symbol.
 
-def _read(space, j: int):
-    """Row of coefficients of q^j across the echelon basis, 1-indexed."""
-    return [as_fraction(s.coeff(j)) for _, s in space.elements]
 
-
-def multiplicativity_solve(space: forms.SpaceBasis, weight=None, level=None) -> list[Newform]:
-    weight = space.weight if weight is None else weight
-    level = space.level if level is None else level
+def multiplicativity_solve(space: forms.SpaceBasis) -> list[Newform]:
+    weight, level = space.weight, space.level
     dim = len(space.elements)
     if dim > 5:
         raise ValueError("multiplicativity solver handles dimension <= 5")
@@ -343,48 +328,7 @@ def multiplicativity_solve(space: forms.SpaceBasis, weight=None, level=None) -> 
         raise ValueError("cusp basis pivots must be exactly 1..dim")
     if dim == 0:
         return []
-    if dim == 1:
-        return _label_sorted([(None, space.elements[0][1])], weight, level)
-
-    eps2 = 0 if level % 2 == 0 else 2 ** (weight - 1)
-    v = {j: _read(space, j) for j in (4, 6, 8, 10, 15) if j > dim}
-
-    def row_poly(j, xpolys):
-        """A(j) as a polynomial in b, for x_i given as polynomials in b."""
-        if j <= dim:
-            return xpolys[j]
-        acc = [v[j][0]]
-        for i in range(2, dim + 1):
-            acc = poly_add(acc, poly_scale(xpolys[i], v[j][i - 1]))
-        return acc
-
-    b = [Fraction(0), Fraction(1)]  # the unknown a(2)
-    sq = poly_sub(poly_mul(b, b), [Fraction(eps2)])  # a(2)^2 - eps2
-    candidates = []
-
-    if dim == 2:
-        final = poly_sub(sq, row_poly(4, {2: b}))
-        candidates += _poly_candidates(final, {2: b})
-    elif dim == 3:
-        v34 = _read(space, 4)[2]
-        if v34 == 0:
-            raise ValueError("constraint system inconsistent: a(4) row degenerate")
-        x3 = poly_scale(poly_sub(sq, poly_add([_read(space, 4)[0]], poly_scale(b, _read(space, 4)[1]))), 1 / v34)
-        xp = {2: b, 3: x3}
-        final = poly_sub(poly_mul(b, x3), row_poly(6, xp))
-        candidates += _poly_candidates(final, xp)
-    elif dim == 4:
-        x4 = sq
-        v8 = _read(space, 8)
-        if v8[2] == 0:
-            raise ValueError("constraint system inconsistent: a(8) row degenerate")
-        num = poly_sub(poly_mul(b, x4), poly_add([v8[0]], poly_add(poly_scale(b, v8[1]), poly_scale(x4, v8[3]))))
-        x3 = poly_scale(num, 1 / v8[2])
-        xp = {2: b, 3: x3, 4: x4}
-        final = poly_sub(poly_mul(b, x3), row_poly(6, xp))
-        candidates += _poly_candidates(final, xp)
-    else:
-        candidates += _solve_dim5(space, v, b, sq)
+    candidates = _solve(space, {}, 2) if dim > 1 else [{}]
 
     seen = []
     parts = []
@@ -409,131 +353,99 @@ def multiplicativity_solve(space: forms.SpaceBasis, weight=None, level=None) -> 
     return _label_sorted(expanded, weight, level)
 
 
-def _poly_candidates(poly, xpolys):
-    """Solutions of poly(b) = 0, each as a dict j -> value of x_j."""
-    poly = poly_trim(poly)
-    if not poly:
+def _solve(space, fixed: dict, p: int) -> list[dict]:
+    """Solutions x (dicts j -> x_j) with a(q) = fixed[q] and a(p) unknown."""
+    dim = len(space.elements)
+    known = {1: [Fraction(1)], p: [Fraction(0), Fraction(1)]}
+    known.update((q, poly_trim([v])) for q, v in fixed.items())
+    free = [j for j in range(2, dim + 1) if j not in known]
+    rows = _relation_rows(space, known, free)
+    ech, pivots = _bareiss(rows, len(free))
+    g = []
+    for row in ech[len(pivots):]:
+        g = _poly_gcd(g, row[-1])
+    if not g:
         raise ValueError("residual degrees of freedom in the constraint system")
-    roots, quads = factor_small(poly, max_degree=5)
+    roots, quads = factor_small(g)
     out = []
-    for r in roots:
-        out.append({j: poly_eval(p, r) for j, p in xpolys.items()})
-    for qf in quads:
-        if not qf.totally_real:
+    values = sorted(set(roots), reverse=True) + [qf.ext().gen() for qf in quads if qf.totally_real]
+    for s in values:
+        numeric = [[poly_trim([poly_eval(e, s)]) for e in row] for row in rows]
+        ech, pivots = _bareiss(numeric, len(free))
+        if any(row[-1] for row in ech[len(pivots):]):
+            continue  # inconsistent once s is substituted
+        if len(pivots) < len(free):
+            nxt = next((q for q in _PRIMES if p < q <= dim), None)
+            if nxt is None or isinstance(s, FieldElement):
+                raise ValueError("residual degrees of freedom in the constraint system")
+            out += _solve(space, {**fixed, p: s}, nxt)
             continue
-        t = qf.ext().gen()
-        out.append({j: poly_eval(p, t) for j, p in xpolys.items()})
+        xs = [0] * len(free)
+        for i in reversed(range(len(free))):
+            row = [e[0] if e else 0 for e in ech[i]]
+            xs[i] = -(row[-1] + sum(row[j] * xs[j] for j in range(i + 1, len(free)))) / row[i]
+        out.append({**fixed, p: s, **dict(zip(free, xs))})
     return out
 
 
-def _solve_dim5(space, v, b, sq):
-    x4 = sq
-    v6, v8, v10, v15 = v[6], v[8], v[10], v[15]
-    # a(6) = b x3:   (b - v6[2]) x3 - v6[4] x5 = v6[0] + v6[1] b + v6[3] x4
-    # a(8) = b x4:   -v8[2] x3 - v8[4] x5 = v8[0] + v8[1] b + v8[3] x4 - b x4
-    a1 = poly_sub(b, [v6[2]])
-    b1 = [-v6[4]]
-    g1 = poly_add([v6[0]], poly_add(poly_scale(b, v6[1]), poly_scale(x4, v6[3])))
-    a2 = [-v8[2]]
-    b2 = [-v8[4]]
-    g2 = poly_sub(poly_add([v8[0]], poly_add(poly_scale(b, v8[1]), poly_scale(x4, v8[3]))), poly_mul(b, x4))
-    det = poly_sub(poly_mul(a1, b2), poly_mul(b1, a2))
-    n3 = poly_sub(poly_mul(g1, b2), poly_mul(b1, g2))
-    n5 = poly_sub(poly_mul(a1, g2), poly_mul(g1, a2))
-    out = []
+def _relation_rows(space, known: dict, free: list) -> list:
+    """Rows [c_j for j in free] + [c] meaning sum c_j x_j + c = 0, entries in K[s].
 
-    # main branch: det(b) != 0; clear the denominator in a(10) = b x5
-    lhs = poly_mul(b, n5)
-    rhs = poly_add(
-        poly_mul(det, poly_add([v10[0]], poly_add(poly_scale(b, v10[1]), poly_scale(x4, v10[3])))),
-        poly_add(poly_scale(n3, v10[2]), poly_scale(n5, v10[4])),
-    )
-    final = poly_sub(lhs, rhs)
-    det_roots = [r for r in factor_small(det, max_degree=1)[0]] if poly_trim(det) else []
-    work = poly_trim(final)
-    if not work:
-        raise ValueError("residual degrees of freedom in the constraint system")
-    roots, quads = factor_small(work, max_degree=5)
-    for r in roots:
-        if r in det_roots:
+    known maps 1 and each prime whose a(p) is fixed or symbolic to a(p) in K[s].
+    """
+    weight, level, dim = space.weight, space.level, len(space.elements)
+
+    def a(n):
+        col = [as_fraction(s.coeff(n)) for _, s in space.elements]
+        const = []
+        for j, v in known.items():
+            const = poly_add(const, poly_scale(v, col[j - 1]))
+        return [poly_trim([col[j - 1]]) for j in free] + [const]
+
+    affine = [None] + [a(n) for n in range(1, 3 * dim + 1)]
+    rows = []
+    for p in sorted(q for q in known if q > 1):
+        eps = 0 if level % p == 0 else p ** (weight - 1)
+        h = [[Fraction(1)], known[p]]
+        for n in range(p, 3 * dim + 1, p):
+            m, r = n, 0
+            while m % p == 0:
+                m, r = m // p, r + 1
+            while len(h) <= r:
+                h.append(poly_sub(poly_mul(known[p], h[-1]), poly_scale(h[-2], eps)))
+            row = [poly_sub(x, poly_mul(h[r], y)) for x, y in zip(affine[n], affine[m])]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
+def _bareiss(rows, ncols: int):
+    """Fraction-free row echelon form over K[s]; returns (rows, pivot columns).
+
+    Each elimination step divides exactly by the previous pivot (Bareiss), so
+    the entries stay polynomials: minors of the input.
+    """
+    rows = [r[:] for r in rows]
+    prev, pivots = [Fraction(1)], []
+    for c in range(ncols):
+        k = len(pivots)
+        i = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        dv = poly_eval(det, r)
-        out.append({2: r, 3: poly_eval(n3, r) / dv, 4: poly_eval(x4, r), 5: poly_eval(n5, r) / dv})
-    for qf in quads:
-        if not qf.totally_real:
-            continue
-        t = qf.ext().gen()
-        dv = poly_eval(det, t)
-        out.append({2: t, 3: poly_eval(n3, t) / dv, 4: poly_eval(x4, t), 5: poly_eval(n5, t) / dv})
-
-    # singular branch: b fixed at a rational root of det
-    for bstar in det_roots:
-        out += _singular_branch(space, v, bstar, poly_eval(x4, bstar),
-                                (poly_eval(a1, bstar), b1[0], poly_eval(g1, bstar)),
-                                (a2[0], b2[0], poly_eval(g2, bstar)))
-    return out
+        rows[k], rows[i] = rows[i], rows[k]
+        piv = rows[k][c]
+        for i in range(k + 1, len(rows)):
+            rows[i] = [poly_divmod(poly_sub(poly_mul(piv, x), poly_mul(rows[i][c], y)), prev)[0]
+                       for x, y in zip(rows[i], rows[k])]
+        prev = piv
+        pivots.append(c)
+    return rows, pivots
 
 
-def _singular_branch(space, v, bstar, x4v, eq1, eq2):
-    """Solve the rank-deficient linear system for (x3, x5) at b = bstar."""
-    (a1, b1, g1), (a2, b2, g2) = eq1, eq2
-    # pick a pivot equation; express one unknown affinely in the other
-    if b2 != 0:
-        # x5 = (g2 - a2 x3) / b2, x3 = s free
-        x3 = [Fraction(0), Fraction(1)]
-        x5 = poly_scale(poly_sub([g2], poly_scale(x3, a2)), 1 / as_fraction(b2))
-    elif a2 != 0:
-        x5 = [Fraction(0), Fraction(1)]
-        x3 = poly_scale(poly_sub([g2], poly_scale(x5, b2)), 1 / as_fraction(a2))
-    else:
-        if g2 != 0:
-            return []
-        x3 = [Fraction(0), Fraction(1)]
-        x5 = None
-    if x5 is None:
-        raise ValueError("residual degrees of freedom in the constraint system")
-    # consistency of the other equation: a1 x3 + b1 x5 = g1 as polynomials in s
-    chk = poly_sub(poly_add(poly_scale(x3, a1), poly_scale(x5, b1)), [g1])
-    chk = poly_trim(chk)
-    if chk and len(chk) == 1:
-        return []  # contradictory constants
-    if chk:
-        s = -chk[0] / chk[1]
-        return [_singular_point(bstar, x4v, poly_eval(x3, s), poly_eval(x5, s))]
-    # cascade: a(10) = bstar x5, then a(15) = x3 x5
-    sols = []
-    dim = 5
-    v10, v15 = v[10], v[15]
-
-    def row_aff(vrow, x3p, x5p):
-        acc = [vrow[0] + vrow[1] * bstar + vrow[3] * x4v]
-        acc = poly_add(acc, poly_scale(x3p, vrow[2]))
-        acc = poly_add(acc, poly_scale(x5p, vrow[4]))
-        return acc
-
-    c10 = poly_sub(poly_scale(x5, bstar), row_aff(v10, x3, x5))
-    c10 = poly_trim(c10)
-    if c10 and len(c10) == 2:
-        s = -c10[0] / c10[1]
-        return [_singular_point(bstar, x4v, poly_eval(x3, s), poly_eval(x5, s))]
-    if c10 and len(c10) == 1:
-        return []
-    c15 = poly_sub(poly_mul(x3, x5), row_aff(v15, x3, x5))
-    c15 = poly_trim(c15)
-    if not c15:
-        raise ValueError("residual degrees of freedom in the constraint system")
-    roots, quads = factor_small(c15, max_degree=4)
-    for r in roots:
-        sols.append(_singular_point(bstar, x4v, poly_eval(x3, r), poly_eval(x5, r)))
-    for qf in quads:
-        if qf.totally_real:
-            t = qf.ext().gen()
-            sols.append(_singular_point(bstar, x4v, poly_eval(x3, t), poly_eval(x5, t)))
-    return sols
-
-
-def _singular_point(bstar, x4v, x3v, x5v):
-    return {2: bstar, 3: x3v, 4: x4v, 5: x5v}
+def _poly_gcd(a, b):
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a
 
 
 def _candidate_series(space, xs) -> QSeries:
@@ -566,20 +478,17 @@ def _multiplicative_ok(f: QSeries, weight: int, level: int) -> bool:
 # ---------------------------------------------------------------------------
 # the catalog of eigenforms used by the identity engine
 
-_DIRECT = {
-    (12, 1): ["delta"],
-    (4, 5): ["delta_4_5"],
-    (4, 6): ["delta_4_6"],
-    (4, 7): ["delta_4_7"],
-    (4, 8): ["delta_4_8"],
-    (4, 9): ["delta_4_9"],
-    (8, 2): ["delta_8_2"],
-    (2, 11): ["delta_2_11"],
-    (2, 14): ["delta_2_14"],
-    (6, 5): ["delta_6_5"],
-}
-
 _OLD_SPANS = {
+    (12, 1): [],
+    (4, 5): [],
+    (4, 6): [],
+    (4, 7): [],
+    (4, 8): [],
+    (4, 9): [],
+    (8, 2): [],
+    (2, 11): [],
+    (2, 14): [],
+    (6, 5): [],
     (4, 10): [("delta_4_5", 1), ("delta_4_5", 2)],
     (4, 11): [],
     (4, 13): [],
@@ -602,24 +511,16 @@ class Registry:
         key = (weight, level)
         if key in self._spaces:
             return self._spaces[key]
-        if key in _DIRECT:
-            out = []
-            for i, lbl in enumerate(_DIRECT[key]):
-                _, s = forms.named_form(lbl, self.prec)
-                nf = Newform(f"{weight}.{level}.{i + 1}", weight, level, None, s)
-                _validate_newform(nf)
-                out.append(nf)
-        elif key in _OLD_SPANS:
-            space = forms.space_basis(weight, level, True, self.prec)
-            old = []
-            for lbl, d in _OLD_SPANS[key]:
-                _, s = forms.named_form(lbl, self.prec)
-                if d > 1:
-                    s = s.rescale(d).truncate(self.prec)
-                old.append(s)
-            out = extract_newforms(space, old)
-        else:
+        if key not in _OLD_SPANS:
             raise KeyError(f"no newform construction for weight {weight}, level {level}")
+        space = forms.space_basis(weight, level, True, self.prec)
+        old = []
+        for lbl, d in _OLD_SPANS[key]:
+            _, s = forms.named_form(lbl, self.prec)
+            if d > 1:
+                s = s.rescale(d).truncate(self.prec)
+            old.append(s)
+        out = extract_newforms(space, old)
         self._spaces[key] = out
         return out
 
@@ -630,8 +531,6 @@ class Registry:
 
     def labels(self) -> list[str]:
         out = []
-        for (k, n), lbls in sorted(_DIRECT.items()):
-            out += [f"{k}.{n}.{i + 1}" for i in range(len(lbls))]
         for (k, n) in sorted(_OLD_SPANS):
             dim = forms.dimension(k, n, cuspidal=True)
             old = len(_OLD_SPANS[(k, n)])

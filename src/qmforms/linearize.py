@@ -14,6 +14,7 @@ from math import ceil
 
 from . import forms, linalg
 from .characters import bernoulli
+from .exactnum import factorize
 from .qseries import PrecisionError, QSeries
 
 __all__ = [
@@ -32,16 +33,8 @@ __all__ = [
 def _mu(level: int) -> int:
     """Index of Gamma0(N) in the modular group."""
     out = level
-    n = level
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out = out // p * (p + 1)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out = out // n * (n + 1)
+    for p, _ in factorize(level):
+        out = out // p * (p + 1)
     return out
 
 

@@ -161,6 +161,7 @@ class QSeries:
         if isinstance(other, (int, Fraction, FieldElement)):
             if other == 0:
                 return QSeries([0], self.prec, self.ext)
+            other = _normal(other)
             ext = _join_ext(self.ext, _coeff_ext(other))
             return QSeries([c * other if c else 0 for c in self.coeffs], self.prec, ext)
         if not isinstance(other, QSeries):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmforms import forms, oracle
+from qmforms import forms, linalg, oracle
 from qmforms.exactnum import QuadExt
 from qmforms.heckeeigen import (
     _OLD_SPANS,
@@ -105,8 +105,12 @@ def test_cross_precision_spaces_and_newforms(reg, reg512):
         assert (a.ext, a.series.truncate(P)) == (b.ext, b.series)
 
 
+# S_6(10) is the one space where the solver fixes a(2) and solves again for a(3)
+SOLVE_SPACES = ((4, 11), (4, 14), (6, 10), (8, 5), (4, 13), (4, 10))
+
+
 def test_multiplicativity_solve_matches_extract(reg):
-    for k, n in ((4, 11), (4, 14), (6, 10), (8, 5)):
+    for k, n in SOLVE_SPACES:
         sb = forms.space_basis(k, n, True, P)
         solved = multiplicativity_solve(sb)
         extracted = reg.space_newforms(k, n)
@@ -114,6 +118,28 @@ def test_multiplicativity_solve_matches_extract(reg):
         for a, b in zip(solved, extracted):
             assert a.ext == b.ext
             assert a.series.coeff_list(60) == b.series.coeff_list(60)
+
+
+def test_multiplicativity_solve_guards():
+    with pytest.raises(ValueError, match="pivots"):
+        multiplicativity_solve(forms.space_basis(4, 5, False, P))  # pivots 0, 1, 2
+    with pytest.raises(ValueError, match="dimension"):
+        multiplicativity_solve(forms.space_basis(6, 10, False, P))  # dimension 9
+
+
+def test_multiplicativity_solve_uses_no_linear_algebra(reg, monkeypatch):
+    spaces = {(k, n): forms.space_basis(k, n, True, P) for k, n in SOLVE_SPACES}
+    extracted = {key: reg.space_newforms(*key) for key in SOLVE_SPACES}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the multiplicativity route called linalg")
+
+    for name in ("rref", "solve", "nullspace", "charpoly"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    for key, sb in spaces.items():
+        solved = multiplicativity_solve(sb)
+        assert [(f.label, f.ext, f.series) for f in solved] == \
+            [(f.label, f.ext, f.series) for f in extracted[key]]
 
 
 def test_coefficient_extension(reg):
