@@ -27,7 +27,6 @@ class RunConfig:
     n_max: int | None = None
     fmt: str = "human"
     catalog_path: str | None = None
-    fixture_path: str | None = None
 
     def __post_init__(self):
         if self.precision < 64:
@@ -50,21 +49,24 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+# config-file key -> (RunConfig field, conversion)
+_CONFIG_KEYS = {
+    "precision": ("precision", int),
+    "nmax": ("n_max", int),
+    "format": ("fmt", str),
+    "catalog": ("catalog_path", str),
+}
+
+
 def _config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        raw = _load_config_file(args.config)
         kw = {}
-        if "precision" in raw:
-            kw["precision"] = int(raw["precision"])
-        if "nmax" in raw:
-            kw["n_max"] = int(raw["nmax"])
-        if "format" in raw:
-            kw["fmt"] = raw["format"]
-        if "catalog" in raw:
-            kw["catalog_path"] = raw["catalog"]
-        if "fixtures" in raw:
-            kw["fixture_path"] = raw["fixtures"]
+        for key, val in _load_config_file(args.config).items():
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}")
+            field, conv = _CONFIG_KEYS[key]
+            kw[field] = conv(val)
         cfg = replace(cfg, **kw)
     if getattr(args, "prec", None):
         cfg = replace(cfg, precision=max(64, args.prec))

@@ -1,10 +1,12 @@
 """Named generators and exact echelon bases for spaces of modular forms.
 
-The catalog covers Eisenstein series, the weight-2 combinations phi(a,b),
-character Eisenstein series, eta-quotient cusp forms and the handful of
-derived constructions (rescalings, products, a cube root, one Rankin-Cohen
-bracket) the identity engine needs.  Space dimensions are pinned in a table
-and every generator pool is rank-checked against it when echelonized.
+Every generator is a text in the form language: Eisenstein series, the
+weight-2 combinations phi(a,b), character Eisenstein series, eta quotients
+and the handful of derived constructions (rescalings, products, a cube root,
+one Rankin-Cohen bracket, Hecke images) the identity engine needs.  The
+catalog names some of them; generator pools are lists of texts, and every
+series is built by `evaluate`.  Space dimensions are pinned in a table and
+every generator pool is rank-checked against it when echelonized.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .characters import (
     twist,
     twisted_level,
 )
-from .exactnum import common_denominator, format_element
+from .exactnum import factorize, format_element
 from .qseries import QSeries, eta_quotient, one, rc_bracket1
 
 __all__ = [
@@ -57,6 +59,7 @@ __all__ = [
     "root_expr",
     "rc1_expr",
     "twist_expr",
+    "hecke_expr",
     "scale_expr",
     "sum_expr",
     "named",
@@ -177,6 +180,12 @@ def twist_expr(e: FormExpr, chi: DirichletCharacter) -> FormExpr:
     return _mk("twist", (e,), (chi,), e.weight, e.depth, twisted_level(e.level, chi))
 
 
+def hecke_expr(p: int, e: FormExpr) -> FormExpr:
+    if factorize(p) != [(p, 1)]:
+        raise ValueError(f"T(p,f) needs a prime p, got {p}")
+    return _mk("hecke", (e,), (p,), e.weight, e.depth, e.level)
+
+
 def scale_expr(c, e: FormExpr) -> FormExpr:
     if isinstance(c, int):
         c = Fraction(c)
@@ -234,6 +243,8 @@ def expr_str(e: FormExpr) -> str:
         return f"rc1({e.children[0]},{e.children[1]})"
     if k == "twist":
         return f"twist({e.children[0]},{e.params[0]})"
+    if k == "hecke":
+        return f"T({e.params[0]},{e.children[0]})"
     if k == "scale":
         return f"({format_element(e.params[0])})*{_paren(str(e.children[0]))}"
     if k == "sum":
@@ -309,436 +320,6 @@ def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t:
         if s:
             cs[t * m] = scale * s
     return QSeries(cs, prec)
-
-
-# ---------------------------------------------------------------------------
-# catalog of named constructions
-
-
-def _cat_eta(label, spec, level=None):
-    def build(prec):
-        return eta_expr(spec, level), eta_quotient(spec, prec)
-
-    return build
-
-
-def _cat_delta_4_7(prec):
-    parts = [((1, 16), (7, 8)), ((1, 12), (7, 12)), ((1, 8), (7, 16))]
-    scalars = [1, 13, 49]
-    s = None
-    for c, spec in zip(scalars, parts):
-        term = c * eta_quotient(spec, prec + 2)
-        s = term if s is None else s + term
-    expr = root_expr(
-        sum_expr(
-            eta_expr(parts[0]),
-            scale_expr(13, eta_expr(parts[1])),
-            scale_expr(49, eta_expr(parts[2])),
-        ),
-        3,
-    )
-    return expr, s.root(3).truncate(prec)
-
-
-def _cat_delta_6_5(prec):
-    e, s = named_form("delta_4_5", prec)
-    return product_expr(e, phi_expr(1, 5)), s * phi(1, 5, prec)
-
-
-def _cat_rescale(label, base, d):
-    def build(prec):
-        e, s = named_form(base, prec)
-        return rescale_expr(e, d), s.rescale(d).truncate(prec)
-
-    return build
-
-
-def _cat_f_6_10(prec):
-    e, s = named_form("delta_4_5", prec)
-    p = 3 * phi(1, 10, prec)
-    return scale_expr(3, product_expr(e, phi_expr(1, 10))), s * p
-
-
-def _cat_hecke(label, base, p, weight, level):
-    def build(prec):
-        _, s = named_form(base, p * prec)
-        meta = named_form(base, 8)[0]
-        return (
-            named(label, meta.weight, meta.depth, level),
-            s.hecke(p, weight, level),
-        )
-
-    return build
-
-
-def _cat_f1_6_10(prec):
-    e, s = named_form("delta_4_5", prec)
-    return product_expr(e, phi_expr(1, 2)), s * phi(1, 2, prec)
-
-
-def _cat_g2_8_5(prec):
-    e, s = named_form("delta_4_5", prec)
-    p = phi(1, 5, prec)
-    return product_expr(e, power_expr(phi_expr(1, 5), 2)), s * (p * p)
-
-
-def _cat_g3_8_5(prec):
-    e4 = eisenstein(4, 1, prec)
-    p = phi(1, 5, prec)
-    br = rc_bracket1(e4, 4, p, 2)
-    expr = scale_expr(Fraction(-1, 24), rc1_expr(eis(4), phi_expr(1, 5)))
-    return expr, Fraction(-1, 24) * br
-
-
-def _cat_c10(prec):
-    # cuspidal projection of phi(1,5) * 9 phi(1,10): T_3 - (1 + 3^3) kills
-    # the Eisenstein part of M_4(Gamma0(10)) and is invertible on cusp forms
-    prod = phi(1, 5, 3 * prec) * (9 * phi(1, 10, 3 * prec))
-    img = prod.hecke(3, 4, 10) - 28 * prod.truncate(prec)
-    return named("c10", 4, 0, 10), img
-
-
-_CATALOG = {
-    "delta": _cat_eta("delta", ((1, 24),)),
-    "delta_4_5": _cat_eta("delta_4_5", ((1, 4), (5, 4))),
-    "delta_4_6": _cat_eta("delta_4_6", ((1, 2), (2, 2), (3, 2), (6, 2))),
-    "delta_4_7": _cat_delta_4_7,
-    "delta_4_8": _cat_eta("delta_4_8", ((2, 4), (4, 4))),
-    "delta_4_9": _cat_eta("delta_4_9", ((3, 8),)),
-    "delta_8_2": _cat_eta("delta_8_2", ((1, 8), (2, 8))),
-    "delta_2_11": _cat_eta("delta_2_11", ((1, 2), (11, 2))),
-    "delta_2_14": _cat_eta("delta_2_14", ((1, 1), (2, 1), (7, 1), (14, 1))),
-    "c10": _cat_c10,
-    "delta_6_5": _cat_delta_6_5,
-    "f_4_5_2": _cat_rescale("f_4_5_2", "delta_4_5", 2),
-    "f_4_7_2": _cat_rescale("f_4_7_2", "delta_4_7", 2),
-    "f_6_5_2": _cat_rescale("f_6_5_2", "delta_6_5", 2),
-    "f1_4_11": _cat_eta("f1_4_11", ((1, 4), (11, 4))),
-    "f2_4_11": _cat_hecke("f2_4_11", "f1_4_11", 2, 4, 11),
-    "f_6_10": _cat_f_6_10,
-    "f1_6_10": _cat_f1_6_10,
-    "f2_6_10": _cat_hecke("f2_6_10", "f_6_10", 2, 6, 10),
-    "g1_8_5": _cat_eta("g1_8_5", ((1, 8), (5, 8))),
-    "g2_8_5": _cat_g2_8_5,
-    "g3_8_5": _cat_g3_8_5,
-}
-
-
-def catalog_labels() -> list[str]:
-    return sorted(_CATALOG)
-
-
-@lru_cache(maxsize=None)
-def named_form(label: str, prec: int = DEFAULT_PREC):
-    """Catalog lookup; returns (FormExpr, QSeries) at the given precision."""
-    try:
-        builder = _CATALOG[label]
-    except KeyError:
-        raise KeyError(f"unknown form label {label!r}") from None
-    expr, series = builder(prec)
-    if series.prec != prec:
-        series = series.truncate(prec)
-    return expr, series
-
-
-# ---------------------------------------------------------------------------
-# dimensions and generator pools
-
-# (weight, level) -> (dim M_k, dim of the cuspidal subspace); rank-checked on
-# every pool construction.
-DIMENSIONS = {
-    (2, 1): (0, 0), (4, 1): (1, 0), (6, 1): (1, 0), (8, 1): (1, 0),
-    (10, 1): (1, 0), (12, 1): (2, 1), (14, 1): (1, 0),
-    (2, 2): (1, 0), (4, 2): (2, 0), (6, 2): (2, 0), (8, 2): (3, 1),
-    (2, 3): (1, 0), (4, 3): (2, 0),
-    (2, 4): (2, 0), (4, 4): (3, 0),
-    (2, 5): (1, 0), (4, 5): (3, 1), (6, 5): (3, 1), (8, 5): (5, 3),
-    (2, 6): (3, 0), (4, 6): (5, 1),
-    (2, 7): (1, 0), (4, 7): (3, 1),
-    (2, 8): (3, 0), (4, 8): (5, 1),
-    (2, 9): (3, 0), (4, 9): (5, 1),
-    (2, 10): (3, 0), (4, 10): (7, 3), (6, 10): (9, 5),
-    (2, 11): (2, 1), (4, 11): (4, 2),
-    (2, 13): (1, 0), (4, 13): (5, 3),
-    (2, 14): (4, 1), (4, 14): (8, 4),
-}
-
-
-def dimension(weight: int, level: int, cuspidal: bool = False) -> int:
-    try:
-        full, cusp = DIMENSIONS[(weight, level)]
-    except KeyError:
-        raise KeyError(f"no dimension entry for weight {weight}, level {level}") from None
-    return cusp if cuspidal else full
-
-
-_WEIGHT2_POOLS = {
-    1: [],
-    2: [(1, 2)],
-    3: [(1, 3)],
-    4: [(1, 2), (1, 4)],
-    5: [(1, 5)],
-    6: [(1, 2), (1, 3), (3, 6)],
-    7: [(1, 7)],
-    8: [(1, 4), (1, 8), "phi_1_4_2"],
-    9: [(1, 3), "phi_1_3_chi3", (1, 9)],
-    10: [(1, 10), (1, 5), "phi_1_5_2"],
-    11: [(1, 11), "delta_2_11"],
-    13: [(1, 13)],
-    14: [(1, 7), (1, 14), (2, 14), "delta_2_14"],
-}
-
-_CUSP_LABELS = {
-    (12, 1): ["delta"],
-    (8, 2): ["delta_8_2"],
-    (4, 5): ["delta_4_5"],
-    (4, 6): ["delta_4_6"],
-    (4, 7): ["delta_4_7"],
-    (4, 8): ["delta_4_8"],
-    (4, 9): ["delta_4_9"],
-    (4, 10): ["delta_4_5", "f_4_5_2", "c10"],
-    (4, 11): ["f2_4_11", "f1_4_11"],
-    (2, 11): ["delta_2_11"],
-    (2, 14): ["delta_2_14"],
-    (6, 5): ["delta_6_5"],
-    (6, 10): ["delta_6_5", "f_6_5_2", "f_6_10", "f1_6_10", "f2_6_10"],
-    (8, 5): ["g1_8_5", "g2_8_5", "g3_8_5"],
-}
-
-
-def _weight2_pool(level: int, prec: int):
-    out = []
-    for item in _WEIGHT2_POOLS[level]:
-        if isinstance(item, tuple):
-            a, b = item
-            out.append((phi_expr(a, b), phi(a, b, prec)))
-        elif item == "phi_1_4_2":
-            out.append((rescale_expr(phi_expr(1, 4), 2), phi(1, 4, prec).rescale(2).truncate(prec)))
-        elif item == "phi_1_5_2":
-            out.append((rescale_expr(phi_expr(1, 5), 2), phi(1, 5, prec).rescale(2).truncate(prec)))
-        elif item == "phi_1_3_chi3":
-            chi3 = quadratic_character(3)
-            out.append((twist_expr(phi_expr(1, 3), chi3), twist(phi(1, 3, prec), chi3)))
-        else:
-            out.append(named_form(item, prec))
-    return out
-
-
-def _eisenstein_pool(weight: int, level: int, prec: int):
-    out = []
-    for d in oracle.divisors(level):
-        out.append((eis_level(weight, d), eisenstein(weight, d, prec)))
-    if (weight, level) == (4, 9):
-        chi3 = quadratic_character(3)
-        out.insert(1, (twist_expr(eis(4), chi3), twist(eisenstein(4, 1, prec), chi3)))
-    return out
-
-
-def _primitive_scale(f: QSeries) -> QSeries:
-    return f * common_denominator(f.coeffs)
-
-
-def _products_pool_13(prec: int):
-    """Weight-4 level-13 generators built from weight-2 character series."""
-    chi13 = quadratic_character(13)
-    onec = trivial_character()
-    p0 = phi(1, 13, prec)
-    e1 = char_eis_expr(2, onec, chi13, 1)
-    e2 = char_eis_expr(2, chi13, onec, 1)
-    s1 = _primitive_scale(char_eisenstein(2, onec, chi13, 1, prec))
-    s2 = _primitive_scale(char_eisenstein(2, chi13, onec, 1, prec))
-    return [
-        (power_expr(phi_expr(1, 13), 2), p0 * p0),
-        (product_expr(e1, e2), s1 * s2),
-        (power_expr(e1, 2), s1 * s1),
-        (power_expr(e2, 2), s2 * s2),
-    ]
-
-
-def _cusp_pool_14(prec: int):
-    d7 = named_form("delta_4_7", prec)
-    f72 = named_form("f_4_7_2", prec)
-    e214, s214 = named_form("delta_2_14", prec)
-    p114 = phi(1, 14, prec)
-    return [
-        d7,
-        f72,
-        (power_expr(e214, 2), s214 * s214),
-        (product_expr(e214, phi_expr(1, 14)), s214 * p114),
-    ]
-
-
-def _bootstrap_pool(weight: int, level: int, prec: int):
-    """Spanning set for the full space, free of extracted newforms."""
-    if weight == 2:
-        return _weight2_pool(level, prec)
-    pool = _eisenstein_pool(weight, level, prec)
-    if (weight, level) == (4, 13):
-        pool += _products_pool_13(prec)
-    elif (weight, level) == (4, 14):
-        pool += _cusp_pool_14(prec)
-    else:
-        pool += [named_form(lbl, prec) for lbl in _CUSP_LABELS.get((weight, level), [])]
-    return pool
-
-
-def _cusp_pool(weight: int, level: int, prec: int):
-    if (weight, level) == (4, 14):
-        return _cusp_pool_14(prec)
-    if (weight, level) == (4, 13):
-        # image of T_2 - (1 + 2^{k-1}), which kills the Eisenstein part and
-        # is invertible on the cuspidal part
-        lam = 1 + 2 ** (weight - 1)
-        pool = _bootstrap_pool(weight, level, 2 * prec)
-        out = []
-        for i, (e, s) in enumerate(pool):
-            img = s.hecke(2, weight, level) - lam * s.truncate(prec)
-            out.append((named(f"t2proj_{weight}_{level}_{i}", weight, 0, level), img))
-        return out
-    labels = _CUSP_LABELS.get((weight, level))
-    if labels is None:
-        if dimension(weight, level, cuspidal=True) == 0:
-            return []
-        raise KeyError(f"no cusp pool for weight {weight}, level {level}")
-    return [named_form(lbl, prec) for lbl in labels]
-
-
-@dataclass(frozen=True)
-class SpaceBasis:
-    """Echelonized exact basis of a space of modular forms."""
-
-    weight: int
-    level: int
-    cuspidal: bool
-    elements: tuple
-    pivots: tuple
-    pool_exprs: tuple
-    combos: tuple
-
-    @property
-    def prec(self) -> int:
-        return self.elements[0][1].prec if self.elements else 0
-
-    def series(self) -> list[QSeries]:
-        return [s for _, s in self.elements]
-
-
-def _combo_expr(combo, exprs) -> FormExpr:
-    terms = []
-    for c, e in zip(combo, exprs):
-        if c == 0:
-            continue
-        terms.append(e if c == 1 else scale_expr(c, e))
-    if not terms:
-        raise ValueError("zero combination")
-    return terms[0] if len(terms) == 1 else sum_expr(*terms)
-
-
-@lru_cache(maxsize=None)
-def space_basis(weight: int, level: int, cuspidal: bool = False,
-                prec: int = DEFAULT_PREC) -> SpaceBasis:
-    """Echelonized basis of M_k(Gamma0(N)) or its cuspidal subspace."""
-    dim = dimension(weight, level, cuspidal)
-    pool = _cusp_pool(weight, level, prec) if cuspidal else _bootstrap_pool(weight, level, prec)
-    what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
-    p = min((s.prec for _, s in pool), default=0)
-    ech = linalg.rref([s.coeffs[: p + 1] for _, s in pool])
-    if ech.rank < dim:
-        raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
-    if ech.rank > dim:
-        raise ValueError(f"dimension table violated for {what}: rank {ech.rank} > {dim}")
-    exprs = tuple(e for e, _ in pool)
-    combos = tuple(tuple(c) for c in ech.transform[: ech.rank])
-    elements = tuple((_combo_expr(c, exprs), QSeries(row)) for c, row in zip(combos, ech.rows))
-    return SpaceBasis(weight, level, cuspidal, elements, ech.pivots, exprs, combos)
-
-
-def generator_pool(weight: int, level: int, cuspidal: bool = False,
-                   prec: int = DEFAULT_PREC, registry=None):
-    """Generator lists in their catalog order, newforms included.
-
-    This is the presentation basis used for reporting decompositions; it is
-    rank-checked against the dimension table but not echelonized.
-    """
-    if cuspidal:
-        pool = _cusp_pool(weight, level, prec)
-    elif weight == 2:
-        pool = _weight2_pool(level, prec)
-    else:
-        pool = _eisenstein_pool(weight, level, prec)
-        key = (weight, level)
-        if key in ((4, 10), (4, 11), (4, 13), (4, 14)):
-            if registry is None:
-                from .heckeeigen import registry as _registry
-
-                registry = _registry(prec)
-            nfs = registry.space_newforms(weight, level)
-            if key == (4, 10):
-                pool += [(named("nf_4_10_1", 4, 0, 10), nfs[0].series),
-                         named_form("delta_4_5", prec), named_form("f_4_5_2", prec)]
-            elif key == (4, 14):
-                pool += [named_form("delta_4_7", prec), named_form("f_4_7_2", prec)]
-                pool += [(named(f"nf_4_14_{i+1}", 4, 0, 14), nf.series) for i, nf in enumerate(nfs)]
-            else:
-                pool += [(named(f"nf_{weight}_{level}_{i+1}", weight, 0, level), nf.series)
-                         for i, nf in enumerate(nfs)]
-        else:
-            pool += [named_form(lbl, prec) for lbl in _CUSP_LABELS.get((weight, level), [])]
-    dim = dimension(weight, level, cuspidal)
-    if len(pool) != dim:
-        # pools are exact bases here, not just spanning sets
-        raise ValueError(f"pool size {len(pool)} != dimension {dim}")
-    return pool
-
-
-# ---------------------------------------------------------------------------
-# evaluation of expressions
-
-
-def evaluate(expr: FormExpr, prec: int = DEFAULT_PREC) -> QSeries:
-    k = expr.kind
-    if k == "eta":
-        return eta_quotient(expr.params[0], prec)
-    if k == "eis":
-        return eisenstein(expr.params[0], 1, prec)
-    if k == "eis_level":
-        return eisenstein(expr.params[0], expr.params[1], prec)
-    if k == "phi":
-        return phi(expr.params[0], expr.params[1], prec)
-    if k == "char_eis":
-        kk, psi, chi, t = expr.params
-        return char_eisenstein(kk, psi, chi, t, prec)
-    if k == "rescale":
-        return evaluate(expr.children[0], prec).rescale(expr.params[0]).truncate(prec)
-    if k == "derive":
-        return evaluate(expr.children[0], prec).derive(expr.params[0])
-    if k == "product":
-        acc = one(prec)
-        for c in expr.children:
-            acc = acc * evaluate(c, prec)
-        return acc
-    if k == "power":
-        return evaluate(expr.children[0], prec).power(expr.params[0])
-    if k == "root":
-        return evaluate(expr.children[0], prec).root(expr.params[0])
-    if k == "rc1":
-        f, g = expr.children
-        return rc_bracket1(evaluate(f, prec), f.weight, evaluate(g, prec), g.weight)
-    if k == "twist":
-        return twist(evaluate(expr.children[0], prec), expr.params[0])
-    if k == "scale":
-        return expr.params[0] * evaluate(expr.children[0], prec)
-    if k == "sum":
-        acc = None
-        for c in expr.children:
-            s = evaluate(c, prec)
-            acc = s if acc is None else acc + s
-        return acc
-    if k == "named":
-        return named_form(expr.params[0], prec)[1]
-    if k == "const":
-        return expr.params[0] * one(prec)
-    raise ValueError(f"cannot evaluate expression kind {k!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +455,8 @@ class _Parser:
             self.expect(")")
             return derive_expr(e, i)
         if self.peek() != "(":
-            if name in _CATALOG:
-                expr, _ = named_form(name, 8)
-                return expr
+            if name in _DISPLAY:
+                return _DISPLAY[name]
             raise ValueError(f"unknown name {name!r}")
         self.expect("(")
         if name == "eta":
@@ -915,6 +495,12 @@ class _Parser:
             d = int(self.next())
             self.expect(")")
             return rescale_expr(e, d)
+        if name == "T":
+            p = int(self.next())
+            self.expect(",")
+            e = self.expr()
+            self.expect(")")
+            return hecke_expr(p, e)
         if name == "root":
             e = self.expr()
             self.expect(",")
@@ -955,3 +541,331 @@ class _Parser:
 def parse_expr(text: str) -> FormExpr:
     """Parse the textual form language, e.g. "E(2)*E(2,3)" or "D^2(E(2))"."""
     return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# catalog of named constructions
+
+# label -> text in the form language, in dependency order
+_CATALOG = {
+    "delta": "eta(1^24)",
+    "delta_4_5": "eta(1^4*5^4)",
+    "delta_4_6": "eta(1^2*2^2*3^2*6^2)",
+    "delta_4_7": "root(eta(1^16*7^8) + 13*eta(1^12*7^12) + 49*eta(1^8*7^16),3)",
+    "delta_4_8": "eta(2^4*4^4)",
+    "delta_4_9": "eta(3^8)",
+    "delta_8_2": "eta(1^8*2^8)",
+    "delta_2_11": "eta(1^2*11^2)",
+    "delta_2_14": "eta(1*2*7*14)",
+    "e1_2_13": "chareis(2,one,chi13,1)",
+    "e2_2_13": "chareis(2,chi13,one,1)",
+    # cuspidal projection of phi(1,5) * 9 phi(1,10): T_3 - (1 + 3^3) kills
+    # the Eisenstein part of M_4(Gamma0(10)) and is invertible on cusp forms
+    "c10": "T(3,9*phi(1,5)*phi(1,10)) - 252*phi(1,5)*phi(1,10)",
+    "delta_6_5": "delta_4_5*phi(1,5)",
+    "f_4_5_2": "rescale(delta_4_5,2)",
+    "f_4_7_2": "rescale(delta_4_7,2)",
+    "f_6_5_2": "rescale(delta_6_5,2)",
+    "f1_4_11": "eta(1^4*11^4)",
+    "f2_4_11": "T(2,f1_4_11)",
+    "f_6_10": "3*delta_4_5*phi(1,10)",
+    "f1_6_10": "delta_4_5*phi(1,2)",
+    "f2_6_10": "T(2,f_6_10)",
+    "g1_8_5": "eta(1^8*5^8)",
+    "g2_8_5": "delta_4_5*phi(1,5)^2",
+    "g3_8_5": "-1/24*rc1(E(4),phi(1,5))",
+}
+
+# root(., 3) of a q^3 (1 + ...) series keeps exponents up to P - 2 of P
+_PREC_LOSS = {"delta_4_7": 2}
+
+_EXPRS: dict = {}    # label -> its parsed text
+_DISPLAY: dict = {}  # label -> what it prints as: its name if the text applies T
+
+
+def _applies_hecke(e: FormExpr) -> bool:
+    return e.kind == "hecke" or any(_applies_hecke(c) for c in e.children)
+
+
+def _parse_catalog():
+    for label, text in _CATALOG.items():
+        e = _EXPRS[label] = parse_expr(text)
+        _DISPLAY[label] = named(label, e.weight, e.depth, e.level) if _applies_hecke(e) else e
+
+
+_parse_catalog()
+
+# sub-expressions evaluate serves from named_form's cache
+_BY_EXPR = {e: label for table in (_EXPRS, _DISPLAY) for label, e in table.items()}
+
+
+def catalog_labels() -> list[str]:
+    return sorted(_CATALOG)
+
+
+@lru_cache(maxsize=None)
+def named_form(label: str, prec: int = DEFAULT_PREC):
+    """Catalog lookup; returns (FormExpr, QSeries) at the given precision."""
+    try:
+        expr = _EXPRS[label]
+    except KeyError:
+        raise KeyError(f"unknown form label {label!r}") from None
+    series = _evaluate(expr, prec + _PREC_LOSS.get(label, 0))
+    if series.prec != prec:
+        series = series.truncate(prec)
+    return _DISPLAY[label], series
+
+
+# ---------------------------------------------------------------------------
+# evaluation of expressions
+
+
+def evaluate(expr: FormExpr, prec: int = DEFAULT_PREC) -> QSeries:
+    """The series of an expression; catalog sub-expressions come from named_form."""
+    label = _BY_EXPR.get(expr)
+    if label is None:
+        return _evaluate(expr, prec)
+    series = named_form(label, prec)[1]
+    loss = _PREC_LOSS.get(label, 0)
+    return series.truncate(prec - loss) if loss else series
+
+
+def _evaluate(expr: FormExpr, prec: int) -> QSeries:
+    k = expr.kind
+    if k == "eta":
+        return eta_quotient(expr.params[0], prec)
+    if k == "eis":
+        return eisenstein(expr.params[0], 1, prec)
+    if k == "eis_level":
+        return eisenstein(expr.params[0], expr.params[1], prec)
+    if k == "phi":
+        return phi(expr.params[0], expr.params[1], prec)
+    if k == "char_eis":
+        kk, psi, chi, t = expr.params
+        return char_eisenstein(kk, psi, chi, t, prec)
+    if k == "rescale":
+        return evaluate(expr.children[0], prec).rescale(expr.params[0]).truncate(prec)
+    if k == "derive":
+        return evaluate(expr.children[0], prec).derive(expr.params[0])
+    if k == "product":
+        acc = evaluate(expr.children[0], prec)
+        for c in expr.children[1:]:
+            acc = acc * evaluate(c, prec)
+        return acc
+    if k == "power":
+        return evaluate(expr.children[0], prec).power(expr.params[0])
+    if k == "root":
+        return evaluate(expr.children[0], prec).root(expr.params[0])
+    if k == "rc1":
+        f, g = expr.children
+        return rc_bracket1(evaluate(f, prec), f.weight, evaluate(g, prec), g.weight)
+    if k == "twist":
+        return twist(evaluate(expr.children[0], prec), expr.params[0])
+    if k == "hecke":
+        p, f = expr.params[0], expr.children[0]
+        return evaluate(f, p * prec).hecke(p, f.weight, f.level)
+    if k == "scale":
+        return expr.params[0] * evaluate(expr.children[0], prec)
+    if k == "sum":
+        acc = None
+        for c in expr.children:
+            s = evaluate(c, prec)
+            acc = s if acc is None else acc + s
+        return acc
+    if k == "const":
+        return expr.params[0] * one(prec)
+    raise ValueError(f"cannot evaluate expression kind {k!r}")
+
+
+# ---------------------------------------------------------------------------
+# dimensions and generator pools
+
+# (weight, level) -> (dim M_k, dim of the cuspidal subspace); rank-checked on
+# every pool construction.
+DIMENSIONS = {
+    (2, 1): (0, 0), (4, 1): (1, 0), (6, 1): (1, 0), (8, 1): (1, 0),
+    (10, 1): (1, 0), (12, 1): (2, 1), (14, 1): (1, 0),
+    (2, 2): (1, 0), (4, 2): (2, 0), (6, 2): (2, 0), (8, 2): (3, 1),
+    (2, 3): (1, 0), (4, 3): (2, 0),
+    (2, 4): (2, 0), (4, 4): (3, 0),
+    (2, 5): (1, 0), (4, 5): (3, 1), (6, 5): (3, 1), (8, 5): (5, 3),
+    (2, 6): (3, 0), (4, 6): (5, 1),
+    (2, 7): (1, 0), (4, 7): (3, 1),
+    (2, 8): (3, 0), (4, 8): (5, 1),
+    (2, 9): (3, 0), (4, 9): (5, 1),
+    (2, 10): (3, 0), (4, 10): (7, 3), (6, 10): (9, 5),
+    (2, 11): (2, 1), (4, 11): (4, 2),
+    (2, 13): (1, 0), (4, 13): (5, 3),
+    (2, 14): (4, 1), (4, 14): (8, 4),
+}
+
+
+def dimension(weight: int, level: int, cuspidal: bool = False) -> int:
+    try:
+        full, cusp = DIMENSIONS[(weight, level)]
+    except KeyError:
+        raise KeyError(f"no dimension entry for weight {weight}, level {level}") from None
+    return cusp if cuspidal else full
+
+
+# Generator pools are lists of texts.  The pool of a full space is its
+# Eisenstein prefix followed by a tail, by default the cusp pool.  _build
+# makes a catalog label with named_form and nf_k_N_i from the registry's i-th
+# newform of S_k(N); any other text is parsed and evaluated.
+
+# the weight-2 Eisenstein prefixes; other weights use E(k,d) for d | N
+_WEIGHT2_PREFIX = {
+    1: [],
+    2: ["phi(1,2)"],
+    3: ["phi(1,3)"],
+    4: ["phi(1,2)", "phi(1,4)"],
+    5: ["phi(1,5)"],
+    6: ["phi(1,2)", "phi(1,3)", "phi(3,6)"],
+    7: ["phi(1,7)"],
+    8: ["phi(1,4)", "phi(1,8)", "rescale(phi(1,4),2)"],
+    9: ["phi(1,3)", "twist(phi(1,3),chi3)", "phi(1,9)"],
+    10: ["phi(1,10)", "phi(1,5)", "rescale(phi(1,5),2)"],
+    11: ["phi(1,11)"],
+    13: ["phi(1,13)"],
+    14: ["phi(1,7)", "phi(1,14)", "phi(2,14)"],
+}
+
+_PRODUCTS_13 = ["phi(1,13)^2", "e1_2_13*e2_2_13", "e1_2_13^2", "e2_2_13^2"]
+
+_CUSP_POOLS = {
+    (12, 1): ["delta"],
+    (8, 2): ["delta_8_2"],
+    (4, 5): ["delta_4_5"],
+    (4, 6): ["delta_4_6"],
+    (4, 7): ["delta_4_7"],
+    (4, 8): ["delta_4_8"],
+    (4, 9): ["delta_4_9"],
+    (4, 10): ["delta_4_5", "f_4_5_2", "c10"],
+    (4, 11): ["f2_4_11", "f1_4_11"],
+    # image of T_2 - (1 + 2^3), which kills the Eisenstein part and is
+    # invertible on the cuspidal part
+    (4, 13): [f"T(2,{x}) - 9*{x}" for x in _PRODUCTS_13],
+    (4, 14): ["delta_4_7", "f_4_7_2", "delta_2_14^2", "delta_2_14*phi(1,14)"],
+    (2, 11): ["delta_2_11"],
+    (2, 14): ["delta_2_14"],
+    (6, 5): ["delta_6_5"],
+    (6, 10): ["delta_6_5", "f_6_5_2", "f_6_10", "f1_6_10", "f2_6_10"],
+    (8, 5): ["g1_8_5", "g2_8_5", "g3_8_5"],
+}
+
+# tails of the spanning pools echelonized by space_basis, free of newforms
+_SPANNING_TAILS = {(4, 13): _PRODUCTS_13}
+
+# tails of the presentation pools generator_pool reports decompositions in
+_PRESENTATION_TAILS = {
+    (4, 10): ["nf_4_10_1", "delta_4_5", "f_4_5_2"],
+    (4, 11): ["nf_4_11_1", "nf_4_11_2"],
+    (4, 13): ["nf_4_13_1", "nf_4_13_2", "nf_4_13_3"],
+    (4, 14): ["delta_4_7", "f_4_7_2", "nf_4_14_1", "nf_4_14_2"],
+}
+
+
+def _cusp_texts(weight: int, level: int) -> list[str]:
+    texts = _CUSP_POOLS.get((weight, level))
+    if texts is None:
+        if dimension(weight, level, cuspidal=True) == 0:
+            return []
+        raise KeyError(f"no cusp pool for weight {weight}, level {level}")
+    return texts
+
+
+def _pool_texts(weight: int, level: int, cuspidal: bool, tails: dict) -> list[str]:
+    if cuspidal:
+        return _cusp_texts(weight, level)
+    if weight == 2:
+        prefix = _WEIGHT2_PREFIX[level]
+    else:
+        prefix = [f"E({weight},{d})" for d in oracle.divisors(level)]
+        if (weight, level) == (4, 9):
+            prefix.insert(1, "twist(E(4),chi3)")
+    tail = tails.get((weight, level))
+    return prefix + (tail if tail is not None else _cusp_texts(weight, level))
+
+
+def _build(texts, prec: int, registry=None):
+    """(expression, series) of each generator text, at the given precision."""
+    out = []
+    for text in texts:
+        if text in _CATALOG:
+            out.append(named_form(text, prec))
+        elif text.startswith("nf_"):
+            if registry is None:
+                from .heckeeigen import registry as _registry
+
+                registry = _registry(prec)
+            k, n, i = (int(x) for x in text.split("_")[1:])
+            out.append((named(text, k, 0, n), registry.newform(f"{k}.{n}.{i}").series))
+        else:
+            expr = parse_expr(text)
+            out.append((expr, evaluate(expr, prec)))
+    return out
+
+
+@dataclass(frozen=True)
+class SpaceBasis:
+    """Echelonized exact basis of a space of modular forms."""
+
+    weight: int
+    level: int
+    cuspidal: bool
+    elements: tuple
+    pivots: tuple
+    pool_exprs: tuple
+    combos: tuple
+
+    @property
+    def prec(self) -> int:
+        return self.elements[0][1].prec if self.elements else 0
+
+    def series(self) -> list[QSeries]:
+        return [s for _, s in self.elements]
+
+
+def _combo_expr(combo, exprs) -> FormExpr:
+    terms = []
+    for c, e in zip(combo, exprs):
+        if c == 0:
+            continue
+        terms.append(e if c == 1 else scale_expr(c, e))
+    if not terms:
+        raise ValueError("zero combination")
+    return terms[0] if len(terms) == 1 else sum_expr(*terms)
+
+
+@lru_cache(maxsize=None)
+def space_basis(weight: int, level: int, cuspidal: bool = False,
+                prec: int = DEFAULT_PREC) -> SpaceBasis:
+    """Echelonized basis of M_k(Gamma0(N)) or its cuspidal subspace."""
+    dim = dimension(weight, level, cuspidal)
+    pool = _build(_pool_texts(weight, level, cuspidal, _SPANNING_TAILS), prec)
+    what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
+    p = min((s.prec for _, s in pool), default=0)
+    ech = linalg.rref([s.coeffs[: p + 1] for _, s in pool])
+    if ech.rank < dim:
+        raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
+    if ech.rank > dim:
+        raise ValueError(f"dimension table violated for {what}: rank {ech.rank} > {dim}")
+    exprs = tuple(e for e, _ in pool)
+    combos = tuple(tuple(c) for c in ech.transform[: ech.rank])
+    elements = tuple((_combo_expr(c, exprs), QSeries(row)) for c, row in zip(combos, ech.rows))
+    return SpaceBasis(weight, level, cuspidal, elements, ech.pivots, exprs, combos)
+
+
+def generator_pool(weight: int, level: int, cuspidal: bool = False,
+                   prec: int = DEFAULT_PREC, registry=None):
+    """Generator lists in their catalog order, newforms included.
+
+    This is the presentation basis used for reporting decompositions; it is
+    rank-checked against the dimension table but not echelonized.
+    """
+    pool = _build(_pool_texts(weight, level, cuspidal, _PRESENTATION_TAILS), prec, registry)
+    dim = dimension(weight, level, cuspidal)
+    if len(pool) != dim:
+        # pools are exact bases here, not just spanning sets
+        raise ValueError(f"pool size {len(pool)} != dimension {dim}")
+    return pool

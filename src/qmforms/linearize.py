@@ -127,15 +127,12 @@ def named_qm_basis(weight: int, level: int, depth_cap: int | None = None,
 
 
 def mixed_qm_basis(weights, level: int, prec: int = forms.DEFAULT_PREC,
-                   registry=None, named: bool = True) -> QMBasis:
-    """Union of graded bases over several weights (ascending)."""
+                   registry=None) -> QMBasis:
+    """Union of the named graded bases over several weights (ascending)."""
     elems = []
     wts = []
     for w in sorted(weights):
-        if named:
-            b = named_qm_basis(w, level, None, prec, registry)
-        else:
-            b = qm_basis(w, level, None, prec)
+        b = named_qm_basis(w, level, None, prec, registry)
         elems.extend(b.elements)
         wts.extend(b.weights)
     return QMBasis(tuple(elems), tuple(wts), level)

@@ -94,6 +94,14 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["passed"] == 20
 
 
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision=64\nfixtures=tables.txt\n")
+    code = main(["--config", str(cfg), "verify", "--id", "w1", "--nmax", "20"])
+    assert code == 2
+    assert "unknown config key 'fixtures'" in capsys.readouterr().err
+
+
 def test_verify_all_deterministic(capsys):
     args = ("verify", "--all", "--nmax", "12", "--prec", "64", "--format", "jsonl")
     code1, out1 = run(capsys, *args)

@@ -110,10 +110,10 @@ def test_echelon_property():
 
 
 def test_echelon_unique_under_pool_permutation():
-    from qmforms.forms import _bootstrap_pool
+    from qmforms.forms import _SPANNING_TAILS, _build, _pool_texts
     from qmforms.linalg import rref
 
-    rows = [s.coeffs for _, s in _bootstrap_pool(4, 6, P)]
+    rows = [s.coeffs for _, s in _build(_pool_texts(4, 6, False, _SPANNING_TAILS), P)]
     ech1, ech2 = rref(rows), rref(list(reversed(rows)))
     rows1, piv1 = ech1.rows, ech1.pivots
     rows2, piv2 = ech2.rows, ech2.pivots
@@ -204,6 +204,30 @@ def test_parse_expr_matches_direct_series():
     assert h3.coeff_list() == (e2 * eisenstein(2, 3, 16)).coeff_list()
     root = evaluate(parse_expr("root(eta(1^16*7^8) + 13*eta(1^12*7^12) + 49*eta(1^8*7^16),3)"), 12)
     assert root.coeff_list(5) == [0, 1, -1, -2, -7, 16]
+
+
+def test_hecke_operator_in_the_language():
+    assert evaluate(parse_expr("T(3,E(4)) - 28*E(4)"), P).is_zero()
+    e = parse_expr("T(2,f1_4_11)")
+    assert str(e) == "T(2,eta(1^4*11^4))" and parse_expr(str(e)) == e
+    assert (e.weight, e.depth, e.level) == (4, 0, 11)
+    f2 = named_form("f2_4_11", P)[1]
+    assert evaluate(e, P).coeff_list() == f2.coeff_list()
+    assert f2.coeff_list() == named_form("f1_4_11", 2 * P)[1].hecke(2, 4, 11).coeff_list()
+    with pytest.raises(ValueError):
+        parse_expr("T(4,E(4))")
+
+
+def test_catalog_and_space_bases_round_trip():
+    # what every catalog form and basis element prints evaluates to its series
+    pairs = [named_form(label, 128) for label in forms.catalog_labels()]
+    for k, n in forms.DIMENSIONS:
+        for cuspidal in (False, True):
+            pairs += space_basis(k, n, cuspidal, 128).elements
+    for expr, series in pairs:
+        again = evaluate(parse_expr(str(expr)), 128)
+        p = min(again.prec, series.prec)
+        assert again.coeff_list(p) == series.coeff_list(p), str(expr)
 
 
 def test_generator_pool_catalog_order(reg):
