@@ -92,20 +92,6 @@ def make_character(kind: str, modulus: int | None = None) -> DirichletCharacter:
     raise ValueError(f"unknown character kind {kind!r}")
 
 
-def _series_divide(num, den, order):
-    """Coefficientwise division of truncated power series over Q."""
-    if den[0] == 0:
-        raise ZeroDivisionError("denominator series has zero constant term")
-    out = []
-    for n in range(order + 1):
-        s = num[n] if n < len(num) else Fraction(0)
-        for k in range(1, n + 1):
-            if k < len(den):
-                s -= den[k] * out[n - k]
-        out.append(s / den[0])
-    return out
-
-
 @lru_cache(maxsize=None)
 def gen_bernoulli(chi: DirichletCharacter, k: int) -> Fraction:
     """Generalized Bernoulli number attached to chi, exact.
@@ -116,10 +102,9 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> Fraction:
     if k < 0:
         raise ValueError("index must be nonnegative")
     m = chi.modulus
-    num = [Fraction(sum(chi(c) * c**j for c in range(m)), factorial(j)) for j in range(k + 1)]
-    den = [Fraction(m ** (j + 1), factorial(j + 1)) for j in range(k + 1)]
-    coeffs = _series_divide(num, den, k)
-    return coeffs[k] * factorial(k)
+    num = QSeries([Fraction(sum(chi(c) * c**j for c in range(m)), factorial(j)) for j in range(k + 1)])
+    den = QSeries([Fraction(m**j, factorial(j + 1)) for j in range(k + 1)])  # (e^{Mt} - 1) / (Mt)
+    return Fraction((num * den.inverse()).coeff(k)) * factorial(k) / m
 
 
 def bernoulli(k: int) -> Fraction:
@@ -147,7 +132,7 @@ def twist(f: QSeries, chi: DirichletCharacter) -> QSeries:
     """Coefficientwise multiplication by chi(n)."""
     vals = chi.values
     m = chi.modulus
-    return QSeries([c * vals[n % m] if c else 0 for n, c in enumerate(f.coeffs)], f.prec, f.ext)
+    return f.pointwise([vals[n % m] for n in range(f.prec + 1)])
 
 
 def twisted_level(level: int, chi: DirichletCharacter) -> int:

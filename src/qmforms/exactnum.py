@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -19,7 +20,10 @@ __all__ = [
     "FieldElement",
     "QuadraticFactor",
     "as_fraction",
-    "common_denominator",
+    "join_ext",
+    "ext_ints",
+    "split_parts",
+    "join_parts",
     "fraction_sqrt",
     "conj",
     "trace",
@@ -50,11 +54,6 @@ def as_fraction(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
-
-
-def common_denominator(xs) -> int:
-    """Least common multiple of the denominators of ints and Fractions."""
-    return lcm(*{x.denominator for x in xs})
 
 
 def fraction_sqrt(x):
@@ -181,18 +180,6 @@ class FieldElement:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        acc = FieldElement(1, 0, self.ext)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     # -- structure -------------------------------------------------------
 
     def conj(self) -> "FieldElement":
@@ -224,6 +211,64 @@ class FieldElement:
 
     def __repr__(self):
         return format_element(self)
+
+
+# -- integer parts ------------------------------------------------------------
+#
+# A vector of values x_i = (a_i + b_i*t) / d is held as int lists a and b over
+# one denominator d > 0, with b None when every t-part is zero.  Series and
+# echelon rows do their arithmetic on these parts.
+
+
+def join_ext(e1, e2):
+    """The common descriptor of two operands (None stands for Q)."""
+    if e1 is None or e1 is e2:
+        return e2
+    if e2 is None or e1 == e2:
+        return e1
+    raise FieldMismatch(f"incompatible descriptors {e1} and {e2}")
+
+
+def ext_ints(ext: QuadExt):
+    """(e, P, Q) with p = P/e and q = Q/e: the descriptor cleared to integers."""
+    e = lcm(ext.p.denominator, ext.q.denominator)
+    return e, ext.p.numerator * (e // ext.p.denominator), ext.q.numerator * (e // ext.q.denominator)
+
+
+def split_parts(xs, ext=None):
+    """Integer parts (a, b, d, ext) of the values xs, d the least common denominator.
+
+    ext is joined with the descriptor of every FieldElement.  Raises TypeError
+    on a value that is not an int, Fraction or FieldElement.
+    """
+    dens, quad = set(), False
+    for x in xs:
+        if isinstance(x, int):
+            continue
+        if isinstance(x, Fraction):
+            dens.add(x.denominator)
+        elif isinstance(x, FieldElement):
+            ext = join_ext(ext, x.ext)
+            dens.update((x.a.denominator, x.b.denominator))
+            quad = quad or x.b != 0
+        else:
+            raise TypeError(f"expected an exact value, got {type(x).__name__}")
+    if not dens:
+        return list(xs), None, 1, ext
+    d = lcm(*dens)
+    a = [x.a if isinstance(x, FieldElement) else x for x in xs]
+    a = [x.numerator * (d // x.denominator) for x in a]
+    b = ([x.b.numerator * (d // x.b.denominator) if isinstance(x, FieldElement) else 0 for x in xs]
+         if quad else None)
+    return a, b, d, ext
+
+
+def join_parts(a, b, d: int, ext) -> tuple:
+    """The values (a_i + b_i*t) / d: ints where integral, FieldElements only where b_i != 0."""
+    if d == 1 and b is None:
+        return tuple(a)
+    return tuple(FieldElement(Fraction(x, d), Fraction(y, d), ext) if y else x // d if x % d == 0
+                 else Fraction(x, d) for x, y in zip(a, b or repeat(0)))
 
 
 # -- module-level operations ----------------------------------------------
@@ -393,8 +438,7 @@ def factor_small(coeffs, max_degree: int = 5):
     roots = []
     work = cs[:]
     while poly_degree(work) >= 1:
-        den = common_denominator(work)
-        ints = [int(c * den) for c in work]
+        ints = split_parts(work)[0]
         g = gcd(*ints)
         ints = [c // g for c in ints]
         r = _rational_root(ints)

@@ -267,10 +267,8 @@ def eisenstein(k: int, n: int = 1, prec: int = DEFAULT_PREC) -> QSeries:
     scale = -Fraction(2 * k) / bernoulli(k)
     sig = oracle.sigma_table(k - 1, prec // n)
     cs = [0] * (prec + 1)
-    cs[0] = 1
-    for m in range(1, prec // n + 1):
-        cs[n * m] = scale * sig[m]
-    return QSeries(cs, prec)
+    cs[n::n] = sig[1 : prec // n + 1]
+    return scale * QSeries(cs, prec) + 1
 
 
 def phi(a: int, b: int, prec: int = DEFAULT_PREC) -> QSeries:
@@ -281,16 +279,15 @@ def phi(a: int, b: int, prec: int = DEFAULT_PREC) -> QSeries:
     sigb = oracle.sigma_table(1, prec // b)
     den = b - a
     cs = [0] * (prec + 1)
-    cs[0] = 1
+    cs[0] = den
     for m in range(1, prec + 1):
         s = 0
         if m % b == 0:
             s -= 24 * b * sigb[m // b]
         if m % a == 0:
             s += 24 * a * siga[m // a]
-        if s:
-            cs[m] = Fraction(s, den)
-    return QSeries(cs, prec)
+        cs[m] = s
+    return Fraction(1, den) * QSeries(cs, prec)
 
 
 def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t: int = 1,
@@ -314,12 +311,8 @@ def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t:
         raise ValueError("vanishing generalized Bernoulli number")
     scale = -Fraction(2 * k) / bk
     cs = [0] * (prec + 1)
-    cs[0] = 1 if psi.is_trivial() else 0
-    for m in range(1, prec // t + 1):
-        s = sigma_twisted(psi, chi, k - 1, m)
-        if s:
-            cs[t * m] = scale * s
-    return QSeries(cs, prec)
+    cs[t::t] = [sigma_twisted(psi, chi, k - 1, m) for m in range(1, prec // t + 1)]
+    return scale * QSeries(cs, prec) + (1 if psi.is_trivial() else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +838,7 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     pool = _build(_pool_texts(weight, level, cuspidal, _SPANNING_TAILS), prec)
     what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
     p = min((s.prec for _, s in pool), default=0)
-    ech = linalg.rref([s.coeffs[: p + 1] for _, s in pool])
+    ech = linalg.rref([s.truncate(p) for _, s in pool])
     if ech.rank < dim:
         raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
     if ech.rank > dim:

@@ -9,7 +9,7 @@ produce the same eigenforms wherever both apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -19,7 +19,6 @@ from .exactnum import (
     FieldElement,
     QuadExt,
     as_fraction,
-    conj,
     factor_small,
     factorize,
     poly_add,
@@ -30,7 +29,7 @@ from .exactnum import (
     poly_sub,
     poly_trim,
 )
-from .qseries import PrecisionError, QSeries
+from .qseries import PrecisionError, QSeries, combine
 
 __all__ = [
     "Newform",
@@ -47,7 +46,7 @@ _PRIMES = (2, 3, 5, 7, 11, 13)
 
 def conj_series(f: QSeries) -> QSeries:
     """Apply the quadratic conjugation to every coefficient."""
-    return QSeries([conj(c) for c in f.coeffs], f.prec, f.ext)
+    return f.conj()
 
 
 @dataclass
@@ -59,16 +58,10 @@ class Newform:
     level: int
     ext: QuadExt | None
     series: QSeries
-    _ap: dict = field(default_factory=dict, repr=False)
 
     @property
     def prec(self) -> int:
         return self.series.prec
-
-    def ap(self, p: int):
-        if p not in self._ap:
-            self._ap[p] = self.series.coeff(p)
-        return self._ap[p]
 
     def coefficient(self, n: int):
         """Fourier coefficient, extended multiplicatively beyond the expansion."""
@@ -84,7 +77,7 @@ class Newform:
         return val
 
     def _prime_power(self, p: int, e: int):
-        ap = self.ap(p)
+        ap = self.series.coeff(p)
         eps = 0 if self.level % p == 0 else p ** (self.weight - 1)
         prev, cur = 1, ap
         for _ in range(e - 1):
@@ -92,15 +85,13 @@ class Newform:
         return cur
 
     def to_record(self) -> dict:
-        from .exactnum import format_element
-
         fld = [str(self.ext.p), str(self.ext.q)] if self.ext else "Q"
         return {
             "label": self.label,
             "weight": self.weight,
             "level": self.level,
             "field": fld,
-            "coeffs": [format_element(c) for c in self.series.coeffs],
+            "coeffs": self.series.to_record()["coeffs"],
         }
 
 
@@ -108,15 +99,8 @@ def _validate_newform(nf: Newform):
     s = nf.series
     if s.coeff(0) != 0 or s.coeff(1) != 1:
         raise ValueError(f"{nf.label}: not normalized to q + O(q^2)")
-    bound = min(s.prec, 40)
-    for p in (2, 3, 5, 7):
-        if p * p <= bound:
-            eps = 0 if nf.level % p == 0 else p ** (nf.weight - 1)
-            if s.coeff(p * p) != s.coeff(p) * s.coeff(p) - eps:
-                raise ValueError(f"{nf.label}: a({p}^2) constraint fails")
-    for m, n in ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 9)):
-        if m * n <= bound and s.coeff(m * n) != s.coeff(m) * s.coeff(n):
-            raise ValueError(f"{nf.label}: a({m}*{n}) constraint fails")
+    if not _multiplicative_ok(s, nf.weight, nf.level, 40):
+        raise ValueError(f"{nf.label}: a Hecke relation below q^41 fails")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +116,7 @@ def hecke_matrix(space: forms.SpaceBasis, p: int):
         raise PrecisionError(
             f"basis precision {space.prec} too low for T_{p} on {dim} elements"
         )
-    ech = linalg.rref([s.coeffs for s in space.series()])
+    ech = linalg.rref(space.series())
     cols = []
     for s in space.series():
         coords, fail = ech.coords(s.hecke(p, space.weight, space.level).coeffs)
@@ -210,16 +194,6 @@ def _poly_of_matrix(poly, m):
     return acc
 
 
-def _combine(space: forms.SpaceBasis, coords) -> QSeries:
-    acc = None
-    for c, (_, s) in zip(coords, space.elements):
-        if c == 0:
-            continue
-        term = c * s
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
     """Newforms of a cusp space, by Hecke diagonalization.
 
@@ -228,7 +202,7 @@ def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
     be totally real unless the corresponding subspace is old.
     """
     dim = len(space.elements)
-    ech = linalg.rref([s.coeffs for s in space.series()])
+    ech = linalg.rref(space.series())
     old_coords = []
     for s in old_span:
         coords, fail = ech.coords(s.coeffs)
@@ -251,7 +225,7 @@ def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
             v = piece[1]
             if is_old(v):
                 continue
-            f = _combine(space, v)
+            f = combine(v, space.series())
             lead = f.coeff(f.valuation())
             f = (1 / as_fraction(lead)) * f if lead != 1 else f
             out.append((None, f))
@@ -272,29 +246,26 @@ def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
             if len(kern) != 1:
                 raise ValueError("quadratic eigenvalue is not simple")
             v = _lift(kern[0], basis_vectors)
-            f = _combine(space, v)
+            f = combine(v, space.series())
             lead = f.coeff(f.valuation())
             if lead != 1:
                 f = (1 / lead) * f
-            out.append((ext, conj_series(f)))
             out.append((ext, f))
-    if len(out) != expected:
-        raise ValueError(f"extracted {len(out)} newforms, expected {expected}")
-    return _label_sorted(out, space.weight, space.level)
+    nfs = _label_sorted(out, space.weight, space.level)
+    if len(nfs) != expected:
+        raise ValueError(f"extracted {len(nfs)} newforms, expected {expected}")
+    return nfs
 
 
 def _sort_key(series: QSeries):
-    bound = min(series.prec, 12)
-    key = []
-    for n in range(2, bound + 1):
-        c = series.coeff(n)
-        key.append(as_fraction(c) if not isinstance(c, FieldElement) else c.a)
-    return key
+    """The rational parts of a(2) .. a(12)."""
+    return [Fraction(a, series.den) for a in series.num[2 : min(series.prec, 12) + 1]]
 
 
 def _label_sorted(parts, weight: int, level: int) -> list[Newform]:
+    """Rational newforms by descending a(2..12), then each quadratic one after its conjugate."""
     rationals = [(ext, s) for ext, s in parts if ext is None]
-    quads = [(ext, s) for ext, s in parts if ext is not None]
+    quads = [(ext, g) for ext, s in parts if ext is not None for g in (conj_series(s), s)]
     rationals.sort(key=lambda p: _sort_key(p[1]), reverse=True)
     ordered = rationals + quads
     out = []
@@ -333,24 +304,14 @@ def multiplicativity_solve(space: forms.SpaceBasis) -> list[Newform]:
     seen = []
     parts = []
     for xs in candidates:
-        f = _candidate_series(space, xs)
+        f = combine([1] + [xs[j] for j in range(2, dim + 1)], space.series())
         key = tuple(f.coeff_list(min(10, f.prec)))
         if key in seen:
             continue
         seen.append(key)
-        if not _multiplicative_ok(f, weight, level):
-            continue
-        ext = f.ext
-        parts.append((ext, f))
-    # conjugate pairs: quadratic candidates arrive once, with the generator
-    expanded = []
-    for ext, f in parts:
-        if ext is None:
-            expanded.append((None, f))
-        else:
-            expanded.append((ext, conj_series(f)))
-            expanded.append((ext, f))
-    return _label_sorted(expanded, weight, level)
+        if _multiplicative_ok(f, weight, level):
+            parts.append((f.ext, f))
+    return _label_sorted(parts, weight, level)
 
 
 def _solve(space, fixed: dict, p: int) -> list[dict]:
@@ -448,18 +409,9 @@ def _poly_gcd(a, b):
     return a
 
 
-def _candidate_series(space, xs) -> QSeries:
-    acc = space.elements[0][1]
-    for j in range(2, len(space.elements) + 1):
-        c = xs[j]
-        if c == 0:
-            continue
-        acc = acc + c * space.elements[j - 1][1]
-    return acc
-
-
-def _multiplicative_ok(f: QSeries, weight: int, level: int) -> bool:
-    bound = min(f.prec, 200)
+def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) -> bool:
+    """a(mn) = a(m) a(n) for coprime m, n and the Hecke relation at p^2, up to q^bound."""
+    bound = min(f.prec, bound)
     for m in range(2, bound + 1):
         for n in range(m, bound // m + 1):
             if gcd(m, n) != 1:

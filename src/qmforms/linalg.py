@@ -10,37 +10,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import common_denominator
+from .exactnum import split_parts
+from .qseries import QSeries, combine
 
 __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
 
-def _scaled(v):
-    """(w, d) with v = w / d: w integral and d > 0 if v is rational, else (v, 1)."""
-    if all(isinstance(x, (int, Fraction)) for x in v):
-        d = common_denominator(v)
-        return [x.numerator * (d // x.denominator) for x in v], d
-    return v, 1
-
-
-def _div(g, d: int):
-    """g / d for an int d > 0, exact for int, Fraction and FieldElement g."""
-    if d == 1:
-        return g
-    return Fraction(g, d) if isinstance(g, int) else g / d
-
-
 def _dot(w, col):
-    return sum(a * b for a, b in zip(w, col) if a)
-
-
-def _lincomb(w, rows, m: int):
-    """The first m entries of sum_j w[j] * rows[j]."""
-    acc = [0] * m
-    for a, row in zip(w, rows):
-        if a:
-            acc = [s + a * x for s, x in zip(acc, row)]
-    return acc
+    """sum_j x_j col_j for the vector x with integer parts w = (a, b, d, ext)."""
+    a, b, d, ext = w
+    v = sum(x * y for x, y in zip(a, col) if x and y)
+    if b is not None:
+        v += ext.gen() * sum(x * y for x, y in zip(b, col) if x and y)
+    return Fraction(v, d) if isinstance(v, int) else v / d
 
 
 class Echelon:
@@ -52,33 +34,37 @@ class Echelon:
     reaches it), and the scan stops once every row has a pivot, so a long
     tail of columns costs nothing.  The first `rank` rows of T express the
     nonzero rows of R in the input rows; the rest span the left kernel.
+    Rows are held as series (a row is given as a QSeries or a sequence), so
+    every product x·A is a series combination in integer parts.
     """
 
     def __init__(self, rows):
-        self.source = list(rows)
-        n = len(self.source)
-        self.ncols = len(self.source[0]) if n else 0
+        rows = list(rows)
+        n = len(rows)
+        self.ncols = 0 if not n else rows[0].prec + 1 if isinstance(rows[0], QSeries) else len(rows[0])
+        self.series = [r if isinstance(r, QSeries) else QSeries(r) for r in rows] if self.ncols else []
+        self.source = [s.coeffs for s in self.series]
         t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        # each row of T as integers over a common denominator, for the dot products
-        w = [_scaled(row) for row in t]
+        w = [split_parts(row) for row in t]  # T's rows as integer parts, for the dot products
         pivots = []
         for c in range(self.ncols):
             r = len(pivots)
             if r == n:
                 break
             col = [a[c] for a in self.source]
-            pr = next((i for i in range(r, n) if _dot(w[i][0], col) != 0), None)
+            vals = [_dot(wi, col) for wi in w]
+            pr = next((i for i in range(r, n) if vals[i]), None)
             if pr is None:
                 continue
             t[r], t[pr] = t[pr], t[r]
             w[r], w[pr] = w[pr], w[r]
-            vals = [_div(_dot(wi, col), d) for wi, d in w]
+            vals[r], vals[pr] = vals[pr], vals[r]
             t[r] = [x / vals[r] for x in t[r]]
-            w[r] = _scaled(t[r])
+            w[r] = split_parts(t[r])
             for i, f in enumerate(vals):
                 if i != r and f:
                     t[i] = [a - f * b if b else a for a, b in zip(t[i], t[r])]
-                    w[i] = _scaled(t[i])
+                    w[i] = split_parts(t[i])
             pivots.append(c)
         self.transform = t
         self.pivots = tuple(pivots)
@@ -86,12 +72,8 @@ class Echelon:
 
     @cached_property
     def rows(self):
-        """The nonzero rows of R, each formed in integers and divided once."""
-        out = []
-        for tk in self.transform[: self.rank]:
-            wk, d = _scaled(tk)
-            out.append([_div(g, d) for g in _lincomb(wk, self.source, self.ncols)])
-        return out
+        """The nonzero rows of R."""
+        return [list(combine(tk, self.series).coeffs) for tk in self.transform[: self.rank]]
 
     def kernel(self):
         """Basis of the right kernel {x : A x = 0}, one vector per free column."""
@@ -111,16 +93,16 @@ class Echelon:
         both have is then checked, and the first mismatch is returned in place
         of None.  With no rows the span is {0}, checked on every column of v.
         """
-        x = [Fraction(0)] * len(self.source)
+        x = [Fraction(0)] * len(self.transform)
         for tk, pc in zip(self.transform, self.pivots):
             y = v[pc]
             if y:
                 x = [a + y * b if b else a for a, b in zip(x, tk)]
-        m = min(len(v), self.ncols) if self.source else len(v)
-        w, d = _scaled(x)
-        acc = _lincomb(w, self.source, m)
-        fail = next((c for c, (g, y) in enumerate(zip(acc, v)) if g != d * y), None)
-        return x, fail
+        m = min(len(v), self.ncols) if self.transform else len(v)
+        if not m:
+            return x, None
+        rest = QSeries(v[:m]) - combine(x, self.series, m - 1)
+        return x, rest.valuation()
 
 
 def rref(rows) -> Echelon:

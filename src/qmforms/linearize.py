@@ -155,7 +155,7 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
         raise PrecisionError(
             f"target precision {prec} below required margin {max(margin, 2 * ncols)}"
         )
-    ech = linalg.rref([s.coeffs[: prec + 1] for s in basis.series()])
+    ech = linalg.rref([s.truncate(prec) for s in basis.series()])
     if ech.rank < ncols:
         raise ValueError("basis is linearly dependent on the available coefficients")
     sol, fail = ech.coords(target.coeffs[: prec + 1])

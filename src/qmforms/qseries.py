@@ -1,71 +1,44 @@
 """Truncated formal power series in q with exact coefficients.
 
-A QSeries holds coefficients for exponents 0..prec inclusive.  Coefficients
-are ints, non-integral Fractions, or FieldElements over a single quadratic
-descriptor (an integral Fraction is stored as an int); reads beyond the
+A QSeries holds the coefficients of q^0 .. q^prec in one normal form: the
+coefficient of q^n is (num[n] + tnum[n]*t) / den with int numerators, one
+positive int denominator coprime to the numerators as a whole, and t the
+generator of the quadratic descriptor ext (None over Q).  tnum is None when
+every t-part is zero.  Every ring operation is integer vector arithmetic on
+these parts; a product is one big-int multiply (three over Q(t)).  `coeffs`
+builds the values once, on first read: ints where integral, Fractions
+otherwise, FieldElements only where the t-part is nonzero.  Reads beyond the
 stored precision raise, they never return zero silently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 
-from .exactnum import FieldElement, FieldMismatch, common_denominator, format_element
+from .exactnum import FieldElement, ext_ints, factorize, format_element, join_ext, join_parts, split_parts
 
-__all__ = [
-    "PrecisionError",
-    "QSeries",
-    "zero",
-    "one",
-    "monomial",
-    "eta_quotient",
-    "rc_bracket1",
-    "series_str",
-]
+__all__ = ["PrecisionError", "QSeries", "combine", "zero", "one", "eta_quotient", "rc_bracket1",
+           "series_str"]
 
 
 class PrecisionError(ValueError):
     """A coefficient beyond the stored precision was requested."""
 
 
-def _join_ext(e1, e2):
-    if e1 is None:
-        return e2
-    if e2 is None or e1 == e2:
-        return e1
-    raise FieldMismatch(f"incompatible descriptors {e1} and {e2}")
+def _int_product(xs, ys):
+    """First len(xs) coefficients of the product of two int series.
 
-
-def _coeff_ext(c):
-    return c.ext if isinstance(c, FieldElement) else None
-
-
-def _normal(c):
-    """The stored form of a coefficient: an integral Fraction becomes an int."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def _split(cs):
-    """Rational parts a and t-parts b of coefficients a + b*t."""
-    return ([c.a if isinstance(c, FieldElement) else c for c in cs],
-            [c.b if isinstance(c, FieldElement) else 0 for c in cs])
-
-
-def _rational_product(xs, ys):
-    """First len(xs) coefficients of the product of two rational series.
-
-    Kronecker substitution: both lists are scaled to ints by their common
-    denominators and packed into one int each, one w-bit digit per
-    coefficient, so a single big-int multiply does the whole convolution.
+    Kronecker substitution: each list is packed into one int, one w-bit digit
+    per coefficient, so a single big-int multiply does the whole convolution.
     Every product coefficient is a sum of at most n terms, so with
     2**(w-1) > max|x| * max|y| * n each one fits in a digit as a signed value;
     adding 2**(w-1) to every digit makes them all nonnegative for unpacking.
     """
     n = len(xs)
-    dx, dy = common_denominator(xs), common_denominator(ys)
-    xi = [x.numerator * (dx // x.denominator) for x in xs]
-    yi = [y.numerator * (dy // y.denominator) for y in ys]
-    bound = max(map(abs, xi)) * max(map(abs, yi)) * n
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * n
     if not bound:  # a zero operand; the digit width below also bounds each |x| and |y|
         return [0] * n
     nb = (bound.bit_length() + 8) // 8  # digit bytes: 2**(8*nb - 1) > bound
@@ -73,37 +46,73 @@ def _rational_product(xs, ys):
     bias = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
 
     def pack(cs):
-        return int.from_bytes(b"".join((c + half).to_bytes(nb, "little") for c in cs), "little") - bias
+        digits = map(int.to_bytes, map(add, cs, repeat(half)), repeat(nb), repeat("little"))
+        return int.from_bytes(b"".join(digits), "little") - bias
 
-    low = (pack(xi) * pack(yi) + bias) & ((1 << (8 * nb * n)) - 1)
-    digits = low.to_bytes(nb * n, "little")
-    d = dx * dy
-    out = []
-    for i in range(0, nb * n, nb):
-        z = int.from_bytes(digits[i : i + nb], "little") - half
-        out.append(Fraction(z, d) if z % d else z // d)
-    return out
+    px = pack(xs)
+    py = px if ys is xs else pack(ys)  # squaring one int is faster than a product
+    low = ((px * py + bias) & ((1 << (8 * nb * n)) - 1)).to_bytes(nb * n, "little")
+    digits = [low[i : i + nb] for i in range(0, nb * n, nb)]
+    return list(map(add, map(int.from_bytes, digits, repeat("little")), repeat(-half)))
+
+
+def _unit_power(f, a: int, b: int) -> list:
+    """The coefficients of f**(a/b) for f = 1 + O(q), given as values.
+
+    From b f D(c) = a c D(f) with D = q d/dq, coefficient by coefficient:
+    b m c_m = sum_{j=1..m} f_j c_{m-j} ((a + b) j - b m).
+    """
+    jf = [(a + b) * j * x for j, x in enumerate(f)]
+    c = [1]
+    for m in range(1, len(f)):
+        s = -b * m * sum(map(mul, f[1 : m + 1], reversed(c)))
+        if a + b:
+            s += sum(map(mul, jf[1 : m + 1], reversed(c)))
+        k = b * m
+        c.append(s // k if isinstance(s, int) and s % k == 0 else s * Fraction(1, k))
+    return c
+
+
+def _make(prec, ext, num, tnum=None, den=1) -> "QSeries":
+    s = object.__new__(QSeries)
+    s._set(prec, ext, num, tnum, den)
+    return s
 
 
 class QSeries:
-    __slots__ = ("prec", "coeffs", "ext")
+    __slots__ = ("prec", "ext", "num", "tnum", "den", "_coeffs")
 
     def __init__(self, coeffs, prec=None, ext=None):
-        coeffs = [_normal(c) for c in coeffs]
+        coeffs = list(coeffs)
         if prec is None:
             prec = len(coeffs) - 1
         if prec < 0:
             raise ValueError("precision must be >= 0")
         if len(coeffs) > prec + 1:
             raise ValueError("more coefficients than the declared precision")
-        coeffs.extend([0] * (prec + 1 - len(coeffs)))
-        for e in {c.ext for c in coeffs if isinstance(c, FieldElement)}:
-            ext = _join_ext(ext, e)
-        self.prec = prec
-        self.coeffs = tuple(coeffs)
-        self.ext = ext
+        num, tnum, den, ext = split_parts(coeffs, ext)
+        pad = [0] * (prec + 1 - len(coeffs))
+        self._set(prec, ext, num + pad, None if tnum is None else tnum + pad, den)
+
+    def _set(self, prec, ext, num, tnum, den):
+        """Store (num + tnum*t) / den in normal form."""
+        if tnum is not None and not any(tnum):
+            tnum = None
+        if den != 1:
+            g = gcd(den, *num, *(tnum or ()))
+            if g != 1:
+                num, tnum, den = [x // g for x in num], tnum and [x // g for x in tnum], den // g
+        self.prec, self.ext, self.num, self.den, self._coeffs = prec, ext, tuple(num), den, None
+        self.tnum = tnum and tuple(tnum)
 
     # -- access -----------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as values, built on first read."""
+        if self._coeffs is None:
+            self._coeffs = join_parts(self.num, self.tnum, self.den, self.ext)
+        return self._coeffs
 
     def coeff(self, n: int):
         if n < 0:
@@ -118,10 +127,8 @@ class QSeries:
 
     def valuation(self):
         """Exponent of the first nonzero coefficient, or None for zero."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return None
+        t = self.tnum
+        return next((n for n, c in enumerate(self.num) if c or (t and t[n])), None)
 
     def is_zero(self) -> bool:
         return self.valuation() is None
@@ -129,81 +136,131 @@ class QSeries:
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return QSeries(self.coeffs[: prec + 1], prec, self.ext)
+        if prec < 0:
+            raise ValueError("precision must be >= 0")
+        if prec == self.prec:
+            return self
+        t = self.tnum
+        return _make(prec, self.ext, self.num[: prec + 1], t and t[: prec + 1], self.den)
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            p = min(self.prec, other.prec)
-            ext = _join_ext(self.ext, other.ext)
-            return QSeries([a + b for a, b in zip(self.coeffs[: p + 1], other.coeffs[: p + 1])], p, ext)
+    def _add(self, other, sign: int):
+        """self + sign * other at the smaller precision; a scalar is a constant series."""
         if isinstance(other, (int, Fraction, FieldElement)):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + other
-            return QSeries(cs, self.prec, _join_ext(self.ext, _coeff_ext(other)))
-        return NotImplemented
+            other = QSeries([other], self.prec)
+        elif not isinstance(other, QSeries):
+            return NotImplemented
+        ext = join_ext(self.ext, other.ext)
+        den = lcm(self.den, other.den)
+        m1, m2 = den // self.den, sign * den // other.den
+        n = min(self.prec, other.prec) + 1
+        t1, t2 = self.tnum, other.tnum
+
+        def lin(xs, ys):
+            return [m1 * x + m2 * y for x, y in zip(xs[:n], ys[:n])]
+
+        tnum = lin(t1 or (0,) * n, t2 or (0,) * n) if t1 or t2 else None
+        return _make(n - 1, ext, lin(self.num, other.num), tnum, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.prec, self.ext)
-
     def __sub__(self, other):
-        if isinstance(other, (QSeries, int, Fraction, FieldElement)):
-            return self + (-other)
-        return NotImplemented
+        return self._add(other, -1)
+
+    def __neg__(self):
+        t = self.tnum
+        return _make(self.prec, self.ext, [-x for x in self.num], t and [-y for y in t], self.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, c) -> "QSeries":
+        """c * self for one exact scalar c."""
+        if not c:
+            return zero(self.prec, self.ext)
+        (ca,), cb, cd, cext = split_parts((c,))
+        ext = join_ext(self.ext, cext)
+        a, b, den = self.num, self.tnum, self.den * cd
+        if cb is None:
+            return _make(self.prec, ext, [ca * x for x in a], b and [ca * y for y in b], den)
+        (cb,) = cb
+        if b is None:
+            return _make(self.prec, ext, [ca * x for x in a], [cb * x for x in a], den)
+        # (ca + cb t)(x + y t) = ca x + cb q y + (ca y + cb x + cb p y) t, with p = P/e, q = Q/e
+        e, P, Q = ext_ints(ext)
+        k1, k2, k3, k4 = e * ca, Q * cb, e * ca + P * cb, e * cb
+        return _make(self.prec, ext, [k1 * x + k2 * y for x, y in zip(a, b)],
+                     [k3 * y + k4 * x for x, y in zip(a, b)], den * e)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            if other == 0:
-                return QSeries([0], self.prec, self.ext)
-            other = _normal(other)
-            ext = _join_ext(self.ext, _coeff_ext(other))
-            return QSeries([c * other if c else 0 for c in self.coeffs], self.prec, ext)
+            return self._scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         p = min(self.prec, other.prec)
-        ext = _join_ext(self.ext, other.ext)
-        fc, gc = self.coeffs[: p + 1], other.coeffs[: p + 1]
-        if ext is None:
-            return QSeries(_rational_product(fc, gc), p)
-        # (a1 + b1 t)(a2 + b2 t) with t^2 = p t + q, from three rational products
-        a1, b1 = _split(fc)
-        a2, b2 = _split(gc)
-        aa = _rational_product(a1, a2)
-        bb = _rational_product(b1, b2)
-        ss = _rational_product([x + y for x, y in zip(a1, b1)], [x + y for x, y in zip(a2, b2)])
-        out = []
-        for x, y, z in zip(aa, bb, ss):
-            a, b = x + ext.q * y, z - x - y + ext.p * y
-            out.append(FieldElement(a, b, ext) if b else a)
-        return QSeries(out, p, ext)
+        ext = join_ext(self.ext, other.ext)
+        a1, a2 = self.num[: p + 1], other.num[: p + 1]
+        b1, b2 = self.tnum, other.tnum
+        b1, b2 = b1 and b1[: p + 1], b2 and b2[: p + 1]
+        den = self.den * other.den
+        aa = _int_product(a1, a2)
+        if b1 is None and b2 is None:
+            return _make(p, ext, aa, None, den)
+        if b1 is None or b2 is None:
+            return _make(p, ext, aa, _int_product(a1, b2) if b1 is None else _int_product(b1, a2), den)
+        # (a1 + b1 t)(a2 + b2 t) with t^2 = p t + q = (P t + Q)/e, from three int products
+        bb = _int_product(b1, b2)
+        s1 = [x + y for x, y in zip(a1, b1)]
+        ss = _int_product(s1, s1 if a2 is a1 and b2 is b1 else [x + y for x, y in zip(a2, b2)])
+        e, P, Q = ext_ints(ext)
+        return _make(p, ext, [e * x + Q * y for x, y in zip(aa, bb)],
+                     [e * (z - x - y) + P * y for x, y, z in zip(aa, bb, ss)], den * e)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.prec == other.prec and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return (self.prec == other.prec and self.den == other.den and self.num == other.num
+                and self.tnum == other.tnum and (self.tnum is None or self.ext == other.ext))
 
     def __hash__(self):
-        return hash((self.prec, self.coeffs))
+        return hash((self.prec, self.den, self.num, self.tnum))
 
     # -- operators of the calculus -------------------------------------------
+
+    def pointwise(self, ws) -> "QSeries":
+        """Multiply the coefficient of q^n by the integer ws[n]."""
+        t = self.tnum
+        return _make(self.prec, self.ext, [w * x for w, x in zip(ws, self.num)],
+                     t and [w * y for w, y in zip(ws, t)], self.den)
+
+    def conj(self) -> "QSeries":
+        """Apply the quadratic conjugation t -> p - t to every coefficient."""
+        if self.tnum is None:
+            return self
+        # a + b t -> (a + b p) - b t, with p = P/e
+        e, P, _ = ext_ints(self.ext)
+        return _make(self.prec, self.ext, [e * x + P * y for x, y in zip(self.num, self.tnum)],
+                     [-e * y for y in self.tnum], self.den * e)
 
     def rescale(self, d: int) -> "QSeries":
         """Substitute q -> q**d; precision grows to prec*d."""
         if d < 1:
             raise ValueError("rescale factor must be a positive integer")
         p = self.prec * d
-        out = [0] * (p + 1)
-        for n, c in enumerate(self.coeffs):
-            out[n * d] = c
-        return QSeries(out, p, self.ext)
+
+        def spread(xs):
+            out = [0] * (p + 1)
+            out[::d] = xs
+            return out
+
+        t = self.tnum
+        return _make(p, self.ext, spread(self.num), t and spread(t), self.den)
 
     def derive(self, i: int = 1) -> "QSeries":
         """Apply (q d/dq)**i: coefficient n picks up a factor n**i."""
@@ -211,37 +268,28 @@ class QSeries:
             raise ValueError("derivative order must be nonnegative")
         if i == 0:
             return self
-        return QSeries([c * n**i if c else 0 for n, c in enumerate(self.coeffs)], self.prec, self.ext)
+        return self.pointwise([n**i for n in range(self.prec + 1)])
 
     def power(self, m: int) -> "QSeries":
         """m-th power by repeated squaring; f**0 is the constant 1."""
         if m < 0:
             raise ValueError("negative powers are not defined here")
-        acc = one(self.prec, self.ext)
-        base = self
-        while m:
+        if m == 0:
+            return one(self.prec, self.ext)
+        acc, base = None, self
+        while True:
             if m & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             m >>= 1
-            if m:
-                base = base * base
-        return acc
+            if not m:
+                return acc
+            base = base * base
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse of a series with constant term 1."""
         if self.coeff(0) != 1:
             raise ValueError("inverse requires constant term exactly 1")
-        p = self.prec
-        inv = [0] * (p + 1)
-        inv[0] = 1
-        for n in range(1, p + 1):
-            s = 0
-            for k in range(1, min(n, len(self.coeffs) - 1) + 1):
-                ak = self.coeffs[k]
-                if ak:
-                    s += ak * inv[n - k]
-            inv[n] = -s
-        return QSeries(inv, p, self.ext)
+        return QSeries(_unit_power(self.coeffs, -1, 1), self.prec, self.ext)
 
     def root(self, n: int) -> "QSeries":
         """n-th root of q**v (1 + ...) with n | v and unit leading coefficient."""
@@ -256,33 +304,26 @@ class QSeries:
             raise ValueError("leading coefficient must be exactly 1")
         if v % n:
             raise ValueError(f"valuation {v} not divisible by {n}")
-        pf = self.prec - v
-        f = self.coeffs[v : v + pf + 1]
-        c = [0] * (pf + 1)
-        c[0] = 1
-        for m in range(1, pf + 1):
-            s = m * f[m]
-            for j in range(1, m):
-                fj, cj = f[j], c[j]
-                if fj:
-                    s += j * fj * c[m - j]
-                if cj:
-                    s -= n * j * cj * f[m - j]
-            c[m] = _normal(s * Fraction(1, n * m))
-        out = [0] * (v // n) + c
-        return QSeries(out, v // n + pf, self.ext)
+        out = [0] * (v // n) + _unit_power(self.coeffs[v:], 1, n)
+        return QSeries(out, v // n + self.prec - v, self.ext)
 
     def hecke(self, p: int, weight: int, level: int) -> "QSeries":
         """Hecke operator T_p for the given weight and level."""
+        ints = all(isinstance(x, int) for x in (p, weight, level))
+        if not ints or min(weight, level) < 1 or p < 2 or factorize(p) != [(p, 1)]:
+            raise ValueError(f"T_p needs a prime p, weight >= 1 and level >= 1, got {p!r}, {weight!r}, {level!r}")
         newp = self.prec // p
         pk = p ** (weight - 1)
-        out = []
-        for m in range(newp + 1):
-            c = self.coeffs[p * m]
-            if level % p and m % p == 0:
-                c = c + pk * self.coeffs[m // p]
-            out.append(c)
-        return QSeries(out, newp, self.ext)
+
+        def image(xs):
+            out = list(xs[: p * newp + 1 : p])
+            if level % p:
+                for m in range(0, newp + 1, p):
+                    out[m] += pk * xs[m // p]
+            return out
+
+        t = self.tnum
+        return _make(newp, self.ext, image(self.num), t and image(t), self.den)
 
     def __repr__(self):
         head = series_str(self, upto=min(self.prec, 6))
@@ -302,20 +343,22 @@ class QSeries:
         }
 
 
+def combine(cs, series, prec=None) -> QSeries:
+    """sum c_i * f_i, at precision prec or the smallest of the f_i."""
+    prec = min(f.prec for f in series) if prec is None else prec
+    acc = None
+    for c, f in zip(cs, series):
+        if c:
+            acc = c * f if acc is None else acc + c * f
+    return zero(prec) if acc is None else acc.truncate(prec)
+
+
 def zero(prec: int, ext=None) -> QSeries:
     return QSeries([0], prec, ext)
 
 
 def one(prec: int, ext=None) -> QSeries:
     return QSeries([1], prec, ext)
-
-
-def monomial(c, e: int, prec: int) -> QSeries:
-    if e > prec:
-        raise PrecisionError(f"exponent {e} beyond precision {prec}")
-    cs = [0] * (prec + 1)
-    cs[e] = c
-    return QSeries(cs, prec)
 
 
 def _euler_factor(d: int, prec: int) -> QSeries:
@@ -350,7 +393,7 @@ def eta_quotient(spec, prec: int) -> QSeries:
     v = v24 // 24
     if v < 0:
         raise ValueError("negative leading exponent")
-    acc = one(prec)
+    acc = None
     for d, r in spec:
         if d < 1:
             raise ValueError("eta arguments must be positive")
@@ -358,11 +401,11 @@ def eta_quotient(spec, prec: int) -> QSeries:
         if r < 0:
             base = base.inverse()
             r = -r
-        acc = acc * base.power(r)
-    out = [0] * (prec + 1)
-    for n in range(v, prec + 1):
-        out[n] = acc.coeffs[n - v]
-    return QSeries(out, prec)
+        term = base.power(r)
+        acc = term if acc is None else acc * term
+    if acc is None:
+        return one(prec)
+    return _make(prec, None, ((0,) * v + acc.num)[: prec + 1], None, acc.den)
 
 
 def rc_bracket1(f: QSeries, k_f: int, g: QSeries, k_g: int) -> QSeries:

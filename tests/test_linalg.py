@@ -98,6 +98,8 @@ def test_no_rows_span_only_zero():
     assert (ech.rank, ech.pivots, ech.rows, ech.kernel()) == (0, (), [], [])
     assert ech.coords([0, 0]) == ([], None)
     assert ech.coords([0, 3]) == ([], 1)
+    ech = rref([[], []])  # rows with no columns
+    assert (ech.rank, ech.rows, ech.kernel(), ech.coords([])) == (0, [], [], ([0, 0], None))
 
 
 def test_solve_unique_inconsistent_and_underdetermined():
