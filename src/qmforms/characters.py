@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial, gcd
+from operator import add, mul
 
 from .exactnum import factorize
 from .qseries import QSeries
@@ -24,6 +26,7 @@ __all__ = [
     "gen_bernoulli",
     "bernoulli",
     "sigma_twisted",
+    "sigma_twisted_table",
     "twist",
     "twisted_level",
 ]
@@ -126,6 +129,17 @@ def sigma_twisted(psi: DirichletCharacter, phi: DirichletCharacter, k: int, n: i
                 total += psi(d) * phi(e) * e**k
         d += 1
     return total
+
+
+def sigma_twisted_table(psi: DirichletCharacter, phi: DirichletCharacter, k: int, n_max: int) -> list:
+    """sigma_twisted(psi, phi, k, n) for n = 0..n_max, by one divisor sieve."""
+    pv = [psi(e) for e in range(n_max + 1)]
+    out = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        c = phi(d) * d**k
+        if c:  # d contributes psi(e) c at every multiple m = e d
+            out[d::d] = map(add, out[d::d], map(mul, pv[1 : n_max // d + 1], repeat(c)))
+    return out
 
 
 def twist(f: QSeries, chi: DirichletCharacter) -> QSeries:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import forms, identities, linearize, oracle
-from .exactnum import format_element
+from .exactnum import IntegrityError, format_element
 from .heckeeigen import Registry
 from .qseries import series_str
 
@@ -336,10 +336,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         cfg = _config(args)
         return args.fn(args, cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
+    except IntegrityError as exc:
+        print(f"integrity error: {exc}", file=sys.stderr)
+        return 3
+    except (UsageError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

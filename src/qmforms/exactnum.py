@@ -15,6 +15,7 @@ from itertools import repeat
 from math import gcd, isqrt, lcm
 
 __all__ = [
+    "IntegrityError",
     "FieldMismatch",
     "QuadExt",
     "FieldElement",
@@ -43,7 +44,11 @@ __all__ = [
 ]
 
 
-class FieldMismatch(ValueError):
+class IntegrityError(ValueError):
+    """The engine's exact results contradict each other: a check that must hold failed."""
+
+
+class FieldMismatch(IntegrityError):
     """Operands live in different quadratic fields."""
 
 

@@ -24,7 +24,8 @@ from .characters import (
     gen_bernoulli,
     principal_character,
     quadratic_character,
-    sigma_twisted,
+    sigma_twisted,  # unused here; perfbench/spans.py patches this binding
+    sigma_twisted_table,
     trivial_character,
     twist,
     twisted_level,
@@ -311,7 +312,7 @@ def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t:
         raise ValueError("vanishing generalized Bernoulli number")
     scale = -Fraction(2 * k) / bk
     cs = [0] * (prec + 1)
-    cs[t::t] = [sigma_twisted(psi, chi, k - 1, m) for m in range(1, prec // t + 1)]
+    cs[t::t] = sigma_twisted_table(psi, chi, k - 1, prec // t)[1:]
     return scale * QSeries(cs, prec) + (1 if psi.is_trivial() else 0)
 
 

@@ -16,8 +16,9 @@ from functools import lru_cache
 from importlib import resources
 
 from . import oracle
-from .characters import quadratic_character
-from .exactnum import FieldElement, QuadExt, as_fraction
+from .characters import quadratic_character, twist
+from .exactnum import FieldElement, IntegrityError, QuadExt
+from .qseries import QSeries, combine
 
 __all__ = [
     "RHSTerm",
@@ -26,6 +27,7 @@ __all__ = [
     "catalog",
     "load_catalog",
     "evaluate_rhs",
+    "rhs_sweep",
     "lhs_sweep",
     "verify",
     "verify_all",
@@ -155,55 +157,40 @@ def get_identity(ident: str) -> IdentitySpec:
 # evaluation
 
 
-class _Context:
-    """Sigma tables and eigenform reader shared across one sweep."""
-
-    def __init__(self, n_max: int, tau):
-        self.n_max = n_max
-        self.tau = tau
-        self._sig = {}
-
-    def sigma(self, j: int, n: int) -> int:
-        if n < 1:
-            return 0
-        if j not in self._sig:
-            self._sig[j] = oracle.sigma_table(j, self.n_max)
-        return self._sig[j][n]
-
-
-def _term_value(term: RHSTerm, n: int, ctx: _Context):
+def _term_series(term: RHSTerm, n_max: int, tau) -> QSeries:
+    """One closed-form term without its coefficient, for n = 0..n_max."""
+    vec = [0] * (n_max + 1)
     if term.kind == "delta_sigma":
         b, a = term.delta
-        if (n - a) % b:
-            return 0
-        return term.coeff * ctx.sigma(1, n)
-    scale = n**term.npow if term.npow else 1
+        vec[a % b :: b] = oracle.sigma_table(1, n_max)[a % b :: b]
+        return QSeries(vec)
     if term.kind == "tau":
-        if n % term.d:
-            return 0
-        val = ctx.tau(term.label, n // term.d)
-        return term.coeff * scale * val if val else 0
-    if n % term.t:
-        return 0
-    base = ctx.sigma(term.j, n // term.t)
+        vec[term.d :: term.d] = [tau(term.label, m) for m in range(1, n_max // term.d + 1)]
+    else:
+        vec[:: term.t] = oracle.sigma_table(term.j, n_max)[: n_max // term.t + 1]
+    f = QSeries(vec).derive(term.npow)
     if term.kind == "chi_sigma":
-        base *= quadratic_character(term.chi)(n)
-    return term.coeff * scale * base if base else 0
+        f = twist(f, quadratic_character(term.chi))
+    return f
 
 
-def evaluate_rhs(spec: IdentitySpec, n: int, tau, _ctx=None) -> Fraction:
+def rhs_sweep(spec: IdentitySpec, n_max: int, tau) -> QSeries:
+    """The closed form at n = 0..n_max as one series (0 at n = 0), possibly over Q(t)."""
+    return combine([t.coeff for t in spec.rhs], [_term_series(t, n_max, tau) for t in spec.rhs], n_max)
+
+
+def _rational_parts(spec: IdentitySpec, rhs: QSeries, lo: int):
+    """(num, den) of the sweep; raises at the first n >= lo with a nonzero t-part."""
+    bad = rhs.tnum and next((n for n in range(lo, rhs.prec + 1) if rhs.tnum[n]), None)
+    if bad is not None:
+        raise IntegrityError(f"{spec.ident}: closed form does not reduce to a rational at n={bad}")
+    return rhs.num, rhs.den
+
+
+def evaluate_rhs(spec: IdentitySpec, n: int, tau) -> Fraction:
     """Exact value of the closed form at n; must reduce to a rational."""
-    ctx = _ctx or _Context(n, tau)
-    total = 0
-    for term in spec.rhs:
-        total = total + _term_value(term, n, ctx)
-    if isinstance(total, FieldElement):
-        if total.b != 0:
-            raise ValueError(
-                f"{spec.ident}: closed form does not reduce to a rational at n={n}"
-            )
-        total = total.a
-    return as_fraction(total)
+    num, den = _rational_parts(spec, rhs_sweep(spec, n, tau), n)
+    return Fraction(num[n], den)
 
 
 def lhs_sweep(spec: IdentitySpec, n_max: int) -> list[int]:
@@ -218,24 +205,23 @@ def lhs_sweep(spec: IdentitySpec, n_max: int) -> list[int]:
 
 
 def verify(spec: IdentitySpec, n_max: int | None = None, tau=None) -> Report:
-    """Compare scalar * oracle(lhs, n) with the closed form for n = 1..n_max."""
+    """Compare scalar * oracle(lhs, n) with the closed form for n = 1..n_max.
+
+    Both sides are swept once and compared in integers; Fractions are built
+    only for the failing n.
+    """
     n_max = spec.nmax if n_max is None else n_max
     if tau is None:
         from .heckeeigen import registry
 
         tau = registry(max(256, n_max)).tau
     lhs = lhs_sweep(spec, n_max)
-    ctx = _Context(n_max, tau)
-    failures = []
-    passed = 0
-    for n in range(1, n_max + 1):
-        left = spec.lhs_scalar * lhs[n]
-        right = evaluate_rhs(spec, n, tau, ctx)
-        if left == right:
-            passed += 1
-        else:
-            failures.append((n, left, right))
-    return Report(spec.ident, n_max, passed, tuple(failures))
+    num, den = _rational_parts(spec, rhs_sweep(spec, n_max, tau), 1)
+    # scalar * lhs == num / den  <=>  sn * den * lhs == sd * num
+    sn, sd = spec.lhs_scalar.numerator * den, spec.lhs_scalar.denominator
+    bad = [n for n, x, y in zip(range(1, n_max + 1), lhs[1:], num[1:]) if sn * x != sd * y]
+    failures = tuple((n, spec.lhs_scalar * lhs[n], Fraction(num[n], den)) for n in bad)
+    return Report(spec.ident, n_max, n_max - len(bad), failures)
 
 
 def verify_all(idents=None, n_max: int | None = None, tau=None) -> list[Report]:

@@ -14,7 +14,7 @@ from math import ceil
 
 from . import forms, linalg
 from .characters import bernoulli
-from .exactnum import factorize
+from .exactnum import IntegrityError, factorize
 from .qseries import PrecisionError, QSeries
 
 __all__ = [
@@ -160,7 +160,7 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
         raise ValueError("basis is linearly dependent on the available coefficients")
     sol, fail = ech.coords(target.coeffs[: prec + 1])
     if fail is not None:
-        raise ValueError(f"decomposition fails verification at exponent {fail}")
+        raise IntegrityError(f"decomposition fails verification at exponent {fail}")
     return Decomposition(basis, tuple(sol), prec)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
+from operator import mul
 
 from .exactnum import parse_element
 
@@ -97,15 +98,8 @@ def W(N: int, n: int) -> int:
 
 def w_range(N: int, n_max: int) -> list[int]:
     t = sigma_table(1, n_max)
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        s = 0
-        m = 1
-        while N * m < n:
-            s += t[m] * t[n - N * m]
-            m += 1
-        out[n] = s
-    return out
+    # m = 1..(n-1)//N pairs t[m] with t[n - N m]; map stops at the shorter slice
+    return [0] + [sum(map(mul, t[1 : (n - 1) // N + 1], t[n - N :: -N])) for n in range(1, n_max + 1)]
 
 
 def S_mod(a: int, b: int, n: int) -> int:
@@ -121,7 +115,11 @@ def S_mod(a: int, b: int, n: int) -> int:
 
 
 def smod_range(a: int, b: int, n_max: int) -> list[int]:
-    return [0] + [S_mod(a, b, n) for n in range(1, n_max + 1)]
+    if not 0 <= a < b:
+        raise ValueError("require 0 <= a < b")
+    t = sigma_table(1, n_max)
+    m0 = a or b  # the first m >= 1 with m = a mod b
+    return [0] + [sum(map(mul, t[m0:n:b], t[n - m0 :: -b])) for n in range(1, n_max + 1)]
 
 
 def _pulled(a: int, b: int, N: int, n_max: int) -> list[int]:
@@ -166,16 +164,11 @@ def lahiri_range(avec, bvec, nvec, n_max: int) -> list[int]:
     if not (r == len(bvec) == len(nvec)) or r < 1:
         raise ValueError("mismatched descriptor lengths")
     acc = _pulled(avec[0], bvec[0], nvec[0], n_max)
-    for i in range(1, r):
-        nxt = _pulled(avec[i], bvec[i], nvec[i], n_max)
-        out = [0] * (n_max + 1)
-        for m1, v1 in enumerate(acc):
-            if v1:
-                for m2 in range(n_max - m1 + 1):
-                    v2 = nxt[m2]
-                    if v2:
-                        out[m1 + m2] += v1 * v2
-        acc = out
+    for a, b, N in zip(avec[1:], bvec[1:], nvec[1:]):
+        nxt = _pulled(a, b, N, n_max)
+        # the next part m2 runs over the multiples of N; acc[0] is 0
+        acc = [0] * min(N, n_max + 1) + [sum(map(mul, nxt[N : n + 1 : N], acc[n - N :: -N]))
+                                         for n in range(N, n_max + 1)]
     return acc
 
 

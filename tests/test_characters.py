@@ -11,6 +11,7 @@ from qmforms.characters import (
     principal_character,
     quadratic_character,
     sigma_twisted,
+    sigma_twisted_table,
     trivial_character,
     twist,
     twisted_level,
@@ -87,6 +88,21 @@ def test_sigma_twisted_examples():
     assert sigma_twisted(one, chi3, 1, 3) == 1
     assert sigma_twisted(one, one, 1, 0) == 0
     assert sigma_twisted(one, one, 1, -4) == 0
+
+
+@pytest.mark.parametrize("psi,phi", [
+    ("one", "chi13"), ("chi13", "one"),  # the catalog's character Eisenstein series
+    ("one", "one"), ("chi3", "chi3"), ("chi0_4", "chi5"), ("chi7", "chi0_6")])
+def test_sigma_twisted_table_matches_trial_division(psi, phi):
+    chars = {"one": trivial_character(), "chi13": quadratic_character(13),
+             "chi3": quadratic_character(3), "chi5": quadratic_character(5),
+             "chi7": quadratic_character(7), "chi0_4": principal_character(4),
+             "chi0_6": principal_character(6)}
+    psi, phi = chars[psi], chars[phi]
+    for k in (0, 1, 3):
+        table = sigma_twisted_table(psi, phi, k, 300)
+        assert table == [sigma_twisted(psi, phi, k, n) for n in range(301)]
+    assert sigma_twisted_table(psi, phi, 1, 0) == [0]
 
 
 def test_sigma_twisted_trivial_matches_oracle():

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 from qmforms.cli import main
 
@@ -118,3 +119,18 @@ def test_csv_output(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("kind,n,value")
     assert len(lines) == 4
+
+
+def test_integrity_error_exit_code(tmp_path, capsys):
+    # a Q(t) coefficient whose t-part no longer cancels against its conjugate
+    records = json.loads(resources.files("qmforms.data").joinpath("identities.json").read_text())
+    w11 = next(r for r in records if r["id"] == "w11")
+    w11["rhs"][-1]["c"]["b"] = "2/2013"
+    path = tmp_path / "identities.json"
+    path.write_text(json.dumps(records))
+    code = main(["verify", "--catalog", str(path), "--id", "w11", "--nmax", "20", "--prec", "64"])
+    assert code == 3
+    assert "closed form does not reduce to a rational at n=1" in capsys.readouterr().err
+    # the unchanged catalog passes, and usage errors keep exit code 2
+    assert main(["verify", "--id", "w11", "--nmax", "20", "--prec", "64"]) == 0
+    assert main(["verify", "--catalog", str(path)]) == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qmforms.exactnum import (
     FieldElement,
     FieldMismatch,
+    IntegrityError,
     QuadExt,
     QuadraticFactor,
     conj,
@@ -64,6 +65,11 @@ def test_division_and_inverse():
 def test_mismatched_descriptors_rejected():
     with pytest.raises(FieldMismatch):
         EXT_T.gen() * EXT_U.gen()
+
+
+def test_integrity_errors_are_value_errors():
+    assert issubclass(FieldMismatch, IntegrityError)
+    assert issubclass(IntegrityError, ValueError)
 
 
 def test_descriptor_must_be_real_and_irreducible():

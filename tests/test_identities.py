@@ -1,10 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qmforms import identities as idn
 from qmforms import oracle
-from qmforms.exactnum import FieldElement, QuadExt, conj, trace
+from qmforms.characters import quadratic_character
+from qmforms.exactnum import FieldElement, IntegrityError, QuadExt, conj, trace
 
 
 def F(*args):
@@ -104,9 +106,105 @@ def test_lhs_sweep_matches_oracle():
         assert sweep[n] == oracle.lahiri((0, 1), (1, 1), (2, 5), n)
 
 
+def test_nonrational_sweep_is_an_integrity_error(reg):
+    v = QuadExt(20, -24).gen()
+    bad = idn.RHSTerm(coeff=v * F(1, 3), kind="tau", label="tau_8_5_2", d=2)
+    spec = idn.IdentitySpec("bad", "W", (1,), F(1), (bad,), 10)
+    assert idn.evaluate_rhs(spec, 3, reg.tau) == 0  # the term vanishes off even n
+    with pytest.raises(IntegrityError, match="rational at n=2"):
+        idn.verify(spec, 10, reg.tau)
+    sweep = idn.rhs_sweep(spec, 10, reg.tau)
+    assert sweep.coeffs[1::2] == (0,) * 5 and sweep.coeffs[2] == v * F(1, 3)
+
+
 def test_nonrational_total_rejected(reg):
     v = QuadExt(20, -24).gen()
     bad = idn.RHSTerm(coeff=v * F(1, 3), kind="tau", label="tau_8_5_2", d=1)
     spec = idn.IdentitySpec("bad", "W", (1,), F(1), (bad,), 10)
     with pytest.raises(ValueError, match="rational"):
         idn.evaluate_rhs(spec, 3, reg.tau)
+
+
+# -- the per-n evaluator that the sweep replaced, kept as a test reference ----
+
+
+def reference_rhs(spec, n, tau):
+    """The closed form at one n as a sum of Fraction / FieldElement terms."""
+    def sig(j, m):
+        return oracle.sigma_table(j, n)[m] if m >= 1 else 0
+
+    total = 0
+    for term in spec.rhs:
+        if term.kind == "delta_sigma":
+            b, a = term.delta
+            if (n - a) % b == 0:
+                total = total + term.coeff * sig(1, n)
+            continue
+        scale = n**term.npow if term.npow else 1
+        if term.kind == "tau":
+            if n % term.d == 0:
+                val = tau(term.label, n // term.d)
+                if val:
+                    total = total + term.coeff * scale * val
+            continue
+        if n % term.t:
+            continue
+        base = sig(term.j, n // term.t)
+        if term.kind == "chi_sigma":
+            base *= quadratic_character(term.chi)(n)
+        if base:
+            total = total + term.coeff * scale * base
+    if isinstance(total, FieldElement):
+        if total.b != 0:
+            raise ValueError(f"{spec.ident}: closed form does not reduce to a rational at n={n}")
+        total = total.a
+    return Fraction(total)
+
+
+def reference_verify(spec, n_max, tau):
+    lhs = idn.lhs_sweep(spec, n_max)
+    failures, passed = [], 0
+    for n in range(1, n_max + 1):
+        left, right = spec.lhs_scalar * lhs[n], reference_rhs(spec, n, tau)
+        if left == right:
+            passed += 1
+        else:
+            failures.append((n, left, right))
+    return idn.Report(spec.ident, n_max, passed, tuple(failures))
+
+
+def corrupted(spec):
+    first = replace(spec.rhs[0], coeff=spec.rhs[0].coeff + F(1, 1000))
+    return (replace(spec, ident=spec.ident + ".drop_last", rhs=spec.rhs[:-1]),
+            replace(spec, ident=spec.ident + ".bump_first", rhs=(first,) + spec.rhs[1:]))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+@pytest.mark.parametrize("spec", idn.catalog(), ids=idn.catalog_ids())
+def test_evaluate_rhs_matches_per_n_reference(spec, reg):
+    for n in range(1, 61):
+        got = idn.evaluate_rhs(spec, n, reg.tau)
+        assert type(got) is Fraction and got == reference_rhs(spec, n, reg.tau)
+
+
+def test_verify_matches_per_n_reference_on_corrupted_variants(reg):
+    raised = 0
+    for spec in idn.catalog():
+        for variant in corrupted(spec):
+            for n_max in (0, 1, 37, 60):
+                want = outcome(reference_verify, variant, n_max, reg.tau)
+                assert outcome(idn.verify, variant, n_max, reg.tau) == want
+                raised += isinstance(want, tuple)
+    assert raised == 3 * 3  # w11, w13 and absum.a5b lose a conjugate term (n_max 1, 37, 60)
+
+
+def test_verify_below_the_bound_matches_reference(reg):
+    for spec in idn.catalog():
+        assert idn.verify(spec, 37, reg.tau) == reference_verify(spec, 37, reg.tau)

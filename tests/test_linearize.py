@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qmforms import forms, oracle
+from qmforms.exactnum import IntegrityError
 from qmforms.linearize import (
     build_H,
     build_lahiri,
@@ -67,6 +68,13 @@ def test_decompose_detects_corruption(reg):
     cs[100] += 1
     with pytest.raises(ValueError, match="exponent 100"):
         decompose(QSeries(cs, P), basis)
+
+
+def test_failed_verification_is_an_integrity_error(reg):
+    cs = list(build_H(3, P).coeffs)
+    cs[90] -= 1
+    with pytest.raises(IntegrityError, match="fails verification at exponent 90"):
+        decompose(QSeries(cs, P), named_qm_basis(4, 3, 2, P, reg))
 
 
 def test_decompose_rejects_dependent_basis(reg):

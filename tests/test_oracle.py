@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmforms import oracle
+from qmforms import identities, oracle
 from qmforms.exactnum import QuadExt
 
 
@@ -74,6 +76,55 @@ def test_lahiri_range_matches_nested_loops():
             assert sweep[n] == oracle.lahiri(*args, n)
     quint = ((0, 0, 0, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
     assert oracle.lahiri_range(*quint, 40)[40] == oracle.lahiri(*quint, 40)
+
+
+def test_ranges_match_per_n_enumeration_on_catalog_descriptors():
+    seen = set()
+    for spec in identities.catalog():
+        desc = (spec.lhs_kind, spec.lhs_params)
+        if desc in seen:
+            continue
+        seen.add(desc)
+        sweep = identities.lhs_sweep(spec, 60)
+        if spec.lhs_kind == "W":
+            want = [oracle.W(*spec.lhs_params, n) for n in range(1, 61)]
+        elif spec.lhs_kind == "Smod":
+            want = [oracle.S_mod(*spec.lhs_params, n) for n in range(1, 61)]
+        else:
+            want = [oracle.lahiri(*spec.lhs_params, n) for n in range(1, 61)]
+        assert sweep == [0] + want, desc
+    assert len(seen) == 26
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 30))
+def test_w_range_matches_w(N, n_max):
+    assert oracle.w_range(N, n_max) == [0] + [oracle.W(N, n) for n in range(1, n_max + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda b: st.tuples(st.integers(0, b - 1), st.just(b))),
+       st.integers(0, 30))
+def test_smod_range_matches_s_mod(ab, n_max):
+    assert oracle.smod_range(*ab, n_max) == [0] + [oracle.S_mod(*ab, n) for n in range(1, n_max + 1)]
+
+
+descriptors = st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.lists(st.integers(0, 2), min_size=r, max_size=r),
+    st.lists(st.integers(0, 5), min_size=r, max_size=r),
+    st.lists(st.integers(1, 6), min_size=r, max_size=r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(descriptors, st.integers(0, 24))
+def test_lahiri_range_matches_lahiri(desc, n_max):
+    want = [oracle.lahiri(*desc, n) for n in range(n_max + 1)]
+    assert oracle.lahiri_range(*desc, n_max) == want
+
+
+def test_smod_range_rejects_bad_residue():
+    with pytest.raises(ValueError):
+        oracle.smod_range(3, 3, 0)
 
 
 def test_table_fixture():
