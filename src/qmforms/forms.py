@@ -4,9 +4,11 @@ Every generator is a text in the form language: Eisenstein series, the
 weight-2 combinations phi(a,b), character Eisenstein series, eta quotients
 and the handful of derived constructions (rescalings, products, a cube root,
 one Rankin-Cohen bracket, Hecke images) the identity engine needs.  The
-catalog names some of them; generator pools are lists of texts, and every
-series is built by `evaluate`.  Space dimensions are pinned in a table and
-every generator pool is rank-checked against it when echelonized.
+language's functions are one table, `_FUNCTIONS`; `call` builds an
+expression of any of them.  The catalog names some forms; generator pools
+are lists of texts, and every series is built by `evaluate`.  Space
+dimensions are pinned in a table and every generator pool is rank-checked
+against it when echelonized.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from typing import Callable, NamedTuple
 
 from . import linalg, oracle
 from .characters import (
@@ -48,23 +51,7 @@ __all__ = [
     "generator_pool",
     "evaluate",
     "parse_expr",
-    "eta_expr",
-    "eis",
-    "eis_level",
-    "phi_expr",
-    "char_eis_expr",
-    "rescale_expr",
-    "derive_expr",
-    "product_expr",
-    "power_expr",
-    "root_expr",
-    "rc1_expr",
-    "twist_expr",
-    "hecke_expr",
-    "scale_expr",
-    "sum_expr",
-    "named",
-    "const_expr",
+    "call",
 ]
 
 DEFAULT_PREC = 256
@@ -76,185 +63,162 @@ DEFAULT_PREC = 256
 
 @dataclass(frozen=True)
 class FormExpr:
-    """Symbolic description of a form with weight/depth/level metadata."""
+    """Symbolic description of a form with weight/depth/level metadata.
+
+    `kind` is a function of the language (a key of `_FUNCTIONS`) or one of
+    the operators sum, product, power, scale, const and named; `params` are
+    its arguments in text order.
+    """
 
     kind: str
-    children: tuple
     params: tuple
     weight: int
     depth: int
     level: int
 
     def __str__(self) -> str:
-        return expr_str(self)
+        k, p = self.kind, self.params
+        if k == "eta":
+            p = ("*".join(f"{d}^{r}" if r != 1 else f"{d}" for d, r in p[0]),)
+        elif k == "D":  # D^i(f); D(f) for i = 1
+            k, p = ("D" if p[0] == 1 else f"D^{p[0]}"), p[1:]
+        elif k == "E" and p[1] == 1:  # E(k) is E(k,1)
+            p = p[:1]
+        elif k not in _FUNCTIONS:
+            return _operator_str(k, p)
+        return f"{k}({','.join(map(str, p))})"
 
 
-def _check_meta(weight: int, depth: int, level: int):
+def _operator_str(k: str, p: tuple) -> str:
+    # an operand of the kinds named below prints in parentheses, so that the
+    # text parses back to the same tree: (a*b)^2 is not a*b^2
+    if k == "sum":
+        return " + ".join(map(_paren, p))
+    if k == "product":
+        return "*".join(_paren(c, "product", "scale") for c in p)
+    if k == "power":
+        return f"{_paren(p[0], 'product', 'power', 'scale')}^{p[1]}"
+    if k == "scale":
+        return f"({format_element(p[0])})*{_paren(p[1], 'scale')}"
+    if k == "named":
+        return p[0]
+    return format_element(p[0])  # const
+
+
+def _paren(e: FormExpr, *kinds: str) -> str:
+    s = str(e)
+    return f"({s})" if (e.kind in kinds or " " in s or "+" in s[1:] or "-" in s[1:]) else s
+
+
+def _mk(kind, params=(), weight=0, depth=0, level=1) -> FormExpr:
     if depth < 0 or level < 1:
         raise ValueError("bad form metadata")
     if weight < 0 or weight % 2:
         raise ValueError(f"weight must be even and nonnegative, got {weight}")
     if 2 * depth > weight:
         raise ValueError(f"depth {depth} exceeds weight/2 for weight {weight}")
+    return FormExpr(kind, tuple(params), weight, depth, level)
 
 
-def _mk(kind, children=(), params=(), weight=0, depth=0, level=1) -> FormExpr:
-    _check_meta(weight, depth, level)
-    return FormExpr(kind, tuple(children), tuple(params), weight, depth, level)
+def _sum(terms) -> FormExpr:
+    return _mk("sum", terms, max(e.weight for e in terms), max(e.depth for e in terms),
+               lcm(*(e.level for e in terms)))
+
+
+def _scale(c, e: FormExpr) -> FormExpr:
+    return _mk("scale", (c, e), e.weight, e.depth, e.level)
+
+
+# ---------------------------------------------------------------------------
+# the functions of the language
+
+
+class _Function(NamedTuple):
+    # argument types in text order: "int", "pos" (an int >= 1), "form", "char", "eta"
+    args: tuple
+    meta: Callable     # arguments -> (weight, depth, level); rejects bad arguments
+    series: Callable   # arguments, precision -> QSeries
 
 
 def _eta_level(spec) -> int:
     """Smallest multiple L of lcm(d) with sum (L/d) r_d divisible by 24."""
-    base = 1
-    for d, _ in spec:
-        base = lcm(base, d)
-    for k in range(1, 25):
-        level = k * base
-        if sum((level // d) * r for d, r in spec) % 24 == 0:
-            return level
-    return 24 * base
+    base = lcm(*(d for d, _ in spec))
+    return base * 24 // gcd(24, sum((base // d) * r for d, r in spec))
 
 
-def eta_expr(spec, level: int | None = None) -> FormExpr:
-    spec = tuple((int(d), int(r)) for d, r in spec)
+def _eta_meta(spec):
+    if any(d < 1 for d, _ in spec):
+        raise ValueError(f"eta(d^r*...) needs every d >= 1, got {spec}")
     wt2 = sum(r for _, r in spec)
     if wt2 % 2:
         raise ValueError("eta quotient of half-integral weight")
-    return _mk("eta", params=(spec,), weight=wt2 // 2, level=level or _eta_level(spec))
+    return wt2 // 2, 0, _eta_level(spec)
 
 
-def eis(k: int) -> FormExpr:
-    return _mk("eis", params=(k,), weight=k, depth=1 if k == 2 else 0, level=1)
-
-
-def eis_level(k: int, n: int) -> FormExpr:
-    if n == 1:
-        return eis(k)
-    return _mk("eis_level", params=(k, n), weight=k, depth=1 if k == 2 else 0, level=n)
-
-
-def phi_expr(a: int, b: int) -> FormExpr:
-    return _mk("phi", params=(a, b), weight=2, level=b)
-
-
-def char_eis_expr(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t: int) -> FormExpr:
-    return _mk("char_eis", params=(k, psi, chi, t), weight=k,
-               level=max(t * psi.modulus * chi.modulus, 1))
-
-
-def rescale_expr(e: FormExpr, d: int) -> FormExpr:
-    return _mk("rescale", (e,), (d,), e.weight, e.depth, e.level * d)
-
-
-def derive_expr(e: FormExpr, i: int = 1) -> FormExpr:
-    if i == 0:
-        return e
-    return _mk("derive", (e,), (i,), e.weight + 2 * i, e.depth + i, e.level)
-
-
-def product_expr(*es: FormExpr) -> FormExpr:
-    lvl = 1
-    for e in es:
-        lvl = lcm(lvl, e.level)
-    return _mk("product", es, (), sum(e.weight for e in es), sum(e.depth for e in es), lvl)
-
-
-def power_expr(e: FormExpr, m: int) -> FormExpr:
-    return _mk("power", (e,), (m,), e.weight * m, e.depth * m, e.level)
-
-
-def root_expr(e: FormExpr, n: int) -> FormExpr:
-    if e.weight % n:
+def _root_meta(f, n):
+    if f.weight % n:
         raise ValueError("weight not divisible by root order")
-    if e.depth:
+    if f.depth:
         raise ValueError("roots only of depth-0 forms")
-    return _mk("root", (e,), (n,), e.weight // n, 0, e.level)
+    return f.weight // n, 0, f.level
 
 
-def rc1_expr(f: FormExpr, g: FormExpr) -> FormExpr:
+def _rc1_meta(f, g):
     if f.depth or g.depth:
         raise ValueError("bracket arguments must be modular (depth 0)")
-    return _mk("rc1", (f, g), (), f.weight + g.weight + 2, 0, lcm(f.level, g.level))
+    return f.weight + g.weight + 2, 0, lcm(f.level, g.level)
 
 
-def twist_expr(e: FormExpr, chi: DirichletCharacter) -> FormExpr:
-    return _mk("twist", (e,), (chi,), e.weight, e.depth, twisted_level(e.level, chi))
-
-
-def hecke_expr(p: int, e: FormExpr) -> FormExpr:
+def _hecke_meta(p, f):
     if factorize(p) != [(p, 1)]:
         raise ValueError(f"T(p,f) needs a prime p, got {p}")
-    return _mk("hecke", (e,), (p,), e.weight, e.depth, e.level)
+    return f.weight, f.depth, f.level
 
 
-def scale_expr(c, e: FormExpr) -> FormExpr:
-    if isinstance(c, int):
-        c = Fraction(c)
-    return _mk("scale", (e,), (c,), e.weight, e.depth, e.level)
+# name -> (argument types, metadata rule, series rule).  The series rules
+# look eisenstein, eta_quotient, twist and evaluate up when they run, so a
+# rebinding of these module attributes (a test's patch, a profiler's
+# wrapper) is seen; a stored function object would bypass it.
+_FUNCTIONS = {
+    "eta": _Function(("eta",), _eta_meta, lambda spec, prec: eta_quotient(spec, prec)),
+    "E": _Function(("int", "pos"), lambda k, n: (k, 1 if k == 2 else 0, n),
+                   lambda k, n, prec: eisenstein(k, n, prec)),
+    "phi": _Function(("pos", "pos"), lambda a, b: (2, 0, b), lambda a, b, prec: phi(a, b, prec)),
+    "chareis": _Function(("int", "char", "char", "pos"),
+                         lambda k, psi, chi, t: (k, 0, t * psi.modulus * chi.modulus),
+                         lambda k, psi, chi, t, prec: char_eisenstein(k, psi, chi, t, prec)),
+    "D": _Function(("int", "form"), lambda i, f: (f.weight + 2 * i, f.depth + i, f.level),
+                   lambda i, f, prec: evaluate(f, prec).derive(i)),
+    "rescale": _Function(("form", "pos"), lambda f, d: (f.weight, f.depth, f.level * d),
+                         lambda f, d, prec: evaluate(f, prec).rescale(d, prec)),
+    "root": _Function(("form", "pos"), _root_meta, lambda f, n, prec: evaluate(f, prec).root(n)),
+    "rc1": _Function(("form", "form"), _rc1_meta,
+                     lambda f, g, prec: rc_bracket1(evaluate(f, prec), f.weight,
+                                                    evaluate(g, prec), g.weight)),
+    "twist": _Function(("form", "char"),
+                       lambda f, chi: (f.weight, f.depth, twisted_level(f.level, chi)),
+                       lambda f, chi, prec: twist(evaluate(f, prec), chi)),
+    # T_p f needs f to precision p*prec
+    "T": _Function(("int", "form"), _hecke_meta,
+                   lambda p, f, prec: evaluate(f, p * prec).hecke(p, f.weight, f.level)),
+}
 
 
-def sum_expr(*es: FormExpr) -> FormExpr:
-    lvl = 1
-    for e in es:
-        lvl = lcm(lvl, e.level)
-    return _mk("sum", es, (), max(e.weight for e in es), max(e.depth for e in es), lvl)
+def call(name: str, *args) -> FormExpr:
+    """The expression name(args) of a function of the language, arguments in text order.
 
-
-def named(label: str, weight: int, depth: int, level: int) -> FormExpr:
-    return _mk("named", params=(label,), weight=weight, depth=depth, level=level)
-
-
-def const_expr(c) -> FormExpr:
-    if isinstance(c, int):
-        c = Fraction(c)
-    return _mk("const", params=(c,))
-
-
-def _paren(s: str) -> str:
-    return f"({s})" if (" " in s or "+" in s[1:] or "-" in s[1:]) else s
-
-
-def expr_str(e: FormExpr) -> str:
-    k = e.kind
-    if k == "eta":
-        body = "*".join(f"{d}^{r}" if r != 1 else f"{d}" for d, r in e.params[0])
-        return f"eta({body})"
-    if k == "eis":
-        return f"E({e.params[0]})"
-    if k == "eis_level":
-        return f"E({e.params[0]},{e.params[1]})"
-    if k == "phi":
-        return f"phi({e.params[0]},{e.params[1]})"
-    if k == "char_eis":
-        kk, psi, chi, t = e.params
-        return f"chareis({kk},{psi},{chi},{t})"
-    if k == "rescale":
-        return f"rescale({e.children[0]},{e.params[0]})"
-    if k == "derive":
-        i = e.params[0]
-        prefix = "D" if i == 1 else f"D^{i}"
-        return f"{prefix}({e.children[0]})"
-    if k == "product":
-        return "*".join(_paren(str(c)) for c in e.children)
-    if k == "power":
-        return f"{_paren(str(e.children[0]))}^{e.params[0]}"
-    if k == "root":
-        return f"root({e.children[0]},{e.params[0]})"
-    if k == "rc1":
-        return f"rc1({e.children[0]},{e.children[1]})"
-    if k == "twist":
-        return f"twist({e.children[0]},{e.params[0]})"
-    if k == "hecke":
-        return f"T({e.params[0]},{e.children[0]})"
-    if k == "scale":
-        return f"({format_element(e.params[0])})*{_paren(str(e.children[0]))}"
-    if k == "sum":
-        return " + ".join(_paren(str(c)) for c in e.children)
-    if k == "named":
-        return e.params[0]
-    if k == "const":
-        return format_element(e.params[0])
-    raise ValueError(f"unknown expression kind {k!r}")
+    `call("E", 4, 2)` is E(4,2), `call("D", 2, f)` is D^2(f) and
+    `call("eta", ((1, 4), (5, 4)))` is eta(1^4*5^4).
+    """
+    fn = _FUNCTIONS.get(name)
+    if fn is None:
+        raise ValueError(f"unknown function {name!r}")
+    if len(args) != len(fn.args):
+        raise ValueError(f"{name} takes {len(fn.args)} arguments, got {len(args)}")
+    for j, (kind, a) in enumerate(zip(fn.args, args), 1):
+        if kind == "pos" and a < 1:
+            raise ValueError(f"argument {j} of {name} must be >= 1, got {a}")
+    return _mk(name, args, *fn.meta(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +318,29 @@ class _Parser:
     def peek(self):
         return self.toks[self.i]
 
-    def next(self):
+    def next(self) -> str:
         t = self.toks[self.i]
+        if t is None:
+            raise ValueError("unexpected end of input")
         self.i += 1
         return t
+
+    def accept(self, t) -> bool:
+        if self.peek() != t:
+            return False
+        self.i += 1
+        return True
 
     def expect(self, t):
         got = self.next()
         if got != t:
             raise ValueError(f"expected {t!r}, got {got!r}")
+
+    def integer(self) -> int:
+        t = self.next()
+        if not t.isdigit():
+            raise ValueError(f"expected an integer, got {t!r}")
+        return int(t)
 
     def parse(self) -> FormExpr:
         e = self.expr()
@@ -378,23 +356,22 @@ class _Parser:
             if op == "-":
                 t = self._negate(t)
             terms.append(t)
-        return terms[0] if len(terms) == 1 else sum_expr(*terms)
+        return terms[0] if len(terms) == 1 else _sum(terms)
 
     @staticmethod
     def _negate(e: FormExpr) -> FormExpr:
         if e.kind == "const":
-            return const_expr(-e.params[0])
+            return _mk("const", (-e.params[0],))
         if e.kind == "scale":
-            return scale_expr(-e.params[0], e.children[0])
-        return scale_expr(-1, e)
+            return _scale(-e.params[0], e.params[1])
+        return _scale(-1, e)
 
     def term(self) -> FormExpr:
         coeff = Fraction(1)
         factors = []
         while True:
             sign = 1
-            while self.peek() == "-":
-                self.next()
+            while self.accept("-"):
                 sign = -sign
             f = self.factor()
             if f.kind == "const":
@@ -402,24 +379,23 @@ class _Parser:
             else:
                 coeff *= sign
                 factors.append(f)
-            if self.peek() == "*":
-                self.next()
-                continue
-            break
+            if not self.accept("*"):
+                break
         if not factors:
-            return const_expr(coeff)
-        body = factors[0] if len(factors) == 1 else product_expr(*factors)
-        return body if coeff == 1 else scale_expr(coeff, body)
+            return _mk("const", (coeff,))
+        if len(factors) > 1:
+            weight, depth = sum(e.weight for e in factors), sum(e.depth for e in factors)
+            factors = [_mk("product", factors, weight, depth, lcm(*(e.level for e in factors)))]
+        return factors[0] if coeff == 1 else _scale(coeff, factors[0])
 
     def factor(self) -> FormExpr:
         base = self.primary()
-        if self.peek() == "^":
-            self.next()
-            m = int(self.next())
-            if base.kind == "const":
-                return const_expr(base.params[0] ** m)
-            return power_expr(base, m)
-        return base
+        if not self.accept("^"):
+            return base
+        m = self.integer()
+        if base.kind == "const":
+            return _mk("const", (base.params[0] ** m,))
+        return _mk("power", (base, m), base.weight * m, base.depth * m, base.level)
 
     def primary(self) -> FormExpr:
         t = self.next()
@@ -427,109 +403,54 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        if t is None:
-            raise ValueError("unexpected end of input")
         if t.isdigit():
-            num = int(t)
-            if self.peek() == "/":
-                self.next()
-                den = int(self.next())
-                return const_expr(Fraction(num, den))
-            return const_expr(Fraction(num))
+            den = self.integer() if self.accept("/") else 1
+            if den == 0:
+                raise ValueError(f"zero denominator in {t}/0")
+            return _mk("const", (Fraction(int(t), den),))
         return self.call_or_name(t)
 
     def call_or_name(self, name: str) -> FormExpr:
-        if name == "D":
-            i = 1
-            if self.peek() == "^":
-                self.next()
-                i = int(self.next())
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            return derive_expr(e, i)
-        if self.peek() != "(":
+        args = []
+        if name == "D":  # D^i(f); D(f) is D^1(f)
+            args.append(self.integer() if self.accept("^") else 1)
+        elif self.peek() != "(":
             if name in _DISPLAY:
                 return _DISPLAY[name]
             raise ValueError(f"unknown name {name!r}")
+        fn = _FUNCTIONS.get(name)
+        if fn is None:
+            raise ValueError(f"unknown function {name!r}")
         self.expect("(")
-        if name == "eta":
-            spec = self.eta_spec()
-            self.expect(")")
-            return eta_expr(spec)
-        if name == "E":
-            k = int(self.next())
-            n = 1
-            if self.peek() == ",":
-                self.next()
-                n = int(self.next())
-            self.expect(")")
-            return eis_level(k, n)
-        if name == "phi":
-            a = int(self.next())
-            self.expect(",")
-            b = int(self.next())
-            self.expect(")")
-            return phi_expr(a, b)
-        if name == "twist":
-            e = self.expr()
-            self.expect(",")
-            chi = _char_by_name(self.next())
-            self.expect(")")
-            return twist_expr(e, chi)
-        if name == "rc1":
-            f = self.expr()
-            self.expect(",")
-            g = self.expr()
-            self.expect(")")
-            return rc1_expr(f, g)
-        if name == "rescale":
-            e = self.expr()
-            self.expect(",")
-            d = int(self.next())
-            self.expect(")")
-            return rescale_expr(e, d)
-        if name == "T":
-            p = int(self.next())
-            self.expect(",")
-            e = self.expr()
-            self.expect(")")
-            return hecke_expr(p, e)
-        if name == "root":
-            e = self.expr()
-            self.expect(",")
-            n = int(self.next())
-            self.expect(")")
-            return root_expr(e, n)
-        if name == "chareis":
-            k = int(self.next())
-            self.expect(",")
-            psi = _char_by_name(self.next())
-            self.expect(",")
-            chi = _char_by_name(self.next())
-            self.expect(",")
-            t = int(self.next())
-            self.expect(")")
-            return char_eis_expr(k, psi, chi, t)
-        raise ValueError(f"unknown function {name!r}")
+        for j, kind in enumerate(fn.args[len(args):]):
+            if j:
+                if name == "E" and self.peek() == ")":  # E(k) is E(k,1)
+                    args.append(1)
+                    break
+                self.expect(",")
+            args.append(self.argument(kind))
+        self.expect(")")
+        return call(name, *args)
+
+    def argument(self, kind: str):
+        if kind == "form":
+            return self.expr()
+        if kind == "char":
+            return _char_by_name(self.next())
+        if kind == "eta":
+            return self.eta_spec()
+        return self.integer()
 
     def eta_spec(self):
         spec = []
         while True:
-            d = int(self.next())
+            d = self.integer()
             r = 1
-            if self.peek() == "^":
-                self.next()
-                nxt = self.next()
-                if nxt == "-":
-                    r = -int(self.next())
-                else:
-                    r = int(nxt)
+            if self.accept("^"):
+                r = -self.integer() if self.accept("-") else self.integer()
             spec.append((d, r))
-            if self.peek() == "*":
-                self.next()
-                continue
-            return tuple(spec)
+            if not self.accept("*"):
+                return tuple(spec)
 
 
 def parse_expr(text: str) -> FormExpr:
@@ -578,13 +499,13 @@ _DISPLAY: dict = {}  # label -> what it prints as: its name if the text applies 
 
 
 def _applies_hecke(e: FormExpr) -> bool:
-    return e.kind == "hecke" or any(_applies_hecke(c) for c in e.children)
+    return e.kind == "T" or any(isinstance(a, FormExpr) and _applies_hecke(a) for a in e.params)
 
 
 def _parse_catalog():
     for label, text in _CATALOG.items():
         e = _EXPRS[label] = parse_expr(text)
-        _DISPLAY[label] = named(label, e.weight, e.depth, e.level) if _applies_hecke(e) else e
+        _DISPLAY[label] = _mk("named", (label,), e.weight, e.depth, e.level) if _applies_hecke(e) else e
 
 
 _parse_catalog()
@@ -625,49 +546,21 @@ def evaluate(expr: FormExpr, prec: int = DEFAULT_PREC) -> QSeries:
 
 
 def _evaluate(expr: FormExpr, prec: int) -> QSeries:
-    k = expr.kind
-    if k == "eta":
-        return eta_quotient(expr.params[0], prec)
-    if k == "eis":
-        return eisenstein(expr.params[0], 1, prec)
-    if k == "eis_level":
-        return eisenstein(expr.params[0], expr.params[1], prec)
-    if k == "phi":
-        return phi(expr.params[0], expr.params[1], prec)
-    if k == "char_eis":
-        kk, psi, chi, t = expr.params
-        return char_eisenstein(kk, psi, chi, t, prec)
-    if k == "rescale":
-        return evaluate(expr.children[0], prec).rescale(expr.params[0]).truncate(prec)
-    if k == "derive":
-        return evaluate(expr.children[0], prec).derive(expr.params[0])
-    if k == "product":
-        acc = evaluate(expr.children[0], prec)
-        for c in expr.children[1:]:
-            acc = acc * evaluate(c, prec)
+    k, p = expr.kind, expr.params
+    fn = _FUNCTIONS.get(k)
+    if fn is not None:
+        return fn.series(*p, prec)
+    if k in ("sum", "product"):
+        acc = evaluate(p[0], prec)
+        for c in p[1:]:
+            acc = acc + evaluate(c, prec) if k == "sum" else acc * evaluate(c, prec)
         return acc
     if k == "power":
-        return evaluate(expr.children[0], prec).power(expr.params[0])
-    if k == "root":
-        return evaluate(expr.children[0], prec).root(expr.params[0])
-    if k == "rc1":
-        f, g = expr.children
-        return rc_bracket1(evaluate(f, prec), f.weight, evaluate(g, prec), g.weight)
-    if k == "twist":
-        return twist(evaluate(expr.children[0], prec), expr.params[0])
-    if k == "hecke":
-        p, f = expr.params[0], expr.children[0]
-        return evaluate(f, p * prec).hecke(p, f.weight, f.level)
+        return evaluate(p[0], prec).power(p[1])
     if k == "scale":
-        return expr.params[0] * evaluate(expr.children[0], prec)
-    if k == "sum":
-        acc = None
-        for c in expr.children:
-            s = evaluate(c, prec)
-            acc = s if acc is None else acc + s
-        return acc
+        return p[0] * evaluate(p[1], prec)
     if k == "const":
-        return expr.params[0] * one(prec)
+        return p[0] * one(prec)
     raise ValueError(f"cannot evaluate expression kind {k!r}")
 
 
@@ -793,7 +686,7 @@ def _build(texts, prec: int, registry=None):
 
                 registry = _registry(prec)
             k, n, i = (int(x) for x in text.split("_")[1:])
-            out.append((named(text, k, 0, n), registry.newform(f"{k}.{n}.{i}").series))
+            out.append((_mk("named", (text,), k, 0, n), registry.newform(f"{k}.{n}.{i}").series))
         else:
             expr = parse_expr(text)
             out.append((expr, evaluate(expr, prec)))
@@ -825,10 +718,10 @@ def _combo_expr(combo, exprs) -> FormExpr:
     for c, e in zip(combo, exprs):
         if c == 0:
             continue
-        terms.append(e if c == 1 else scale_expr(c, e))
+        terms.append(e if c == 1 else _scale(c, e))
     if not terms:
         raise ValueError("zero combination")
-    return terms[0] if len(terms) == 1 else sum_expr(*terms)
+    return terms[0] if len(terms) == 1 else _sum(terms)
 
 
 @lru_cache(maxsize=None)

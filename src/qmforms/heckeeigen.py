@@ -430,6 +430,7 @@ def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) ->
 # ---------------------------------------------------------------------------
 # the catalog of eigenforms used by the identity engine
 
+# (weight, level) -> generator texts spanning the old part of S_k(Gamma0(N))
 _OLD_SPANS = {
     (12, 1): [],
     (4, 5): [],
@@ -441,11 +442,11 @@ _OLD_SPANS = {
     (2, 11): [],
     (2, 14): [],
     (6, 5): [],
-    (4, 10): [("delta_4_5", 1), ("delta_4_5", 2)],
+    (4, 10): ["delta_4_5", "f_4_5_2"],
     (4, 11): [],
     (4, 13): [],
-    (4, 14): [("delta_4_7", 1), ("delta_4_7", 2)],
-    (6, 10): [("delta_6_5", 1), ("delta_6_5", 2)],
+    (4, 14): ["delta_4_7", "f_4_7_2"],
+    (6, 10): ["delta_6_5", "f_6_5_2"],
     (8, 5): [],
 }
 
@@ -466,12 +467,7 @@ class Registry:
         if key not in _OLD_SPANS:
             raise KeyError(f"no newform construction for weight {weight}, level {level}")
         space = forms.space_basis(weight, level, True, self.prec)
-        old = []
-        for lbl, d in _OLD_SPANS[key]:
-            _, s = forms.named_form(lbl, self.prec)
-            if d > 1:
-                s = s.rescale(d).truncate(self.prec)
-            old.append(s)
+        old = [s for _, s in forms._build(_OLD_SPANS[key], self.prec)]
         out = extract_newforms(space, old)
         self._spaces[key] = out
         return out

@@ -81,6 +81,11 @@ class Decomposition:
         return [(str(e[0]), c) for e, c in zip(self.basis.elements, self.coefficients) if c != 0]
 
 
+def _derive(expr, i: int):
+    """D^i(expr), with D^0(expr) = expr."""
+    return forms.call("D", i, expr) if i else expr
+
+
 def _graded_layers(weight: int, level: int, depth_cap: int, prec: int, pool_fn):
     if weight < 2 or weight % 2:
         raise ValueError("weight must be even and >= 2")
@@ -93,11 +98,11 @@ def _graded_layers(weight: int, level: int, depth_cap: int, prec: int, pool_fn):
         if forms.dimension(w, level) == 0:
             continue
         for expr, series in pool_fn(w, level, prec):
-            elems.append((forms.derive_expr(expr, i), series.derive(i)))
+            elems.append((_derive(expr, i), series.derive(i)))
             weights.append(weight)
     if weight // 2 <= depth_cap:
         e2 = forms.eisenstein(2, 1, prec).derive(weight // 2 - 1)
-        elems.append((forms.derive_expr(forms.eis(2), weight // 2 - 1), e2))
+        elems.append((_derive(forms.call("E", 2, 1), weight // 2 - 1), e2))
         weights.append(weight)
     return QMBasis(tuple(elems), tuple(weights), level)
 

@@ -248,15 +248,17 @@ class QSeries:
         return _make(self.prec, self.ext, [e * x + P * y for x, y in zip(self.num, self.tnum)],
                      [-e * y for y in self.tnum], self.den * e)
 
-    def rescale(self, d: int) -> "QSeries":
-        """Substitute q -> q**d; precision grows to prec*d."""
+    def rescale(self, d: int, prec: int | None = None) -> "QSeries":
+        """Substitute q -> q**d; precision grows to prec*d, or stops at `prec`."""
         if d < 1:
             raise ValueError("rescale factor must be a positive integer")
-        p = self.prec * d
+        p = self.prec * d if prec is None else prec
+        if p > self.prec * d:
+            raise PrecisionError(f"cannot extend precision {self.prec * d} to {p}")
 
         def spread(xs):
             out = [0] * (p + 1)
-            out[::d] = xs
+            out[::d] = xs[: p // d + 1]
             return out
 
         t = self.tnum

@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from qmforms.cli import main
 
 
@@ -134,3 +136,17 @@ def test_integrity_error_exit_code(tmp_path, capsys):
     # the unchanged catalog passes, and usage errors keep exit code 2
     assert main(["verify", "--id", "w11", "--nmax", "20", "--prec", "64"]) == 0
     assert main(["verify", "--catalog", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text, named", [
+    ("eta(0^24)", "d >= 1"),
+    ("root(E(4),0)", "argument 2 of root"),
+    ("1/0", "zero denominator"),
+    ("chareis(2,one,chi13,0)", "argument 4 of chareis"),
+    ("twist(E(4),", "unexpected end"),
+    ("E(", "unexpected end"),
+])
+def test_expand_rejects_bad_arguments(capsys, text, named):
+    code = main(["expand", text, "--prec", "64"])
+    assert code == 2
+    assert named in capsys.readouterr().err

@@ -1,10 +1,15 @@
+import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qmforms import forms, oracle
-from qmforms.characters import quadratic_character, trivial_character
+from qmforms.characters import principal_character, quadratic_character, trivial_character
 from qmforms.forms import (
+    call,
     char_eisenstein,
     eisenstein,
     evaluate,
@@ -236,3 +241,131 @@ def test_generator_pool_catalog_order(reg):
     assert names[:4] == ["E(4)", "E(4,2)", "E(4,5)", "E(4,10)"]
     assert "nf_4_10_1" in names[4]
     assert len(pool) == 7
+
+
+# -- the function table ------------------------------------------------------
+
+CHARACTERS = st.sampled_from([trivial_character(), quadratic_character(3), quadratic_character(5),
+                              quadratic_character(13), principal_character(3),
+                              principal_character(4)])
+COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def _or(build, fallback):
+    """build(), or fallback where the arguments break a metadata rule."""
+    try:
+        return build()
+    except ValueError:
+        return fallback
+
+
+E4 = call("E", 4, 1)
+LEAVES = st.one_of(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(-6, 12)), min_size=1, max_size=3)
+    .map(lambda spec: _or(lambda: call("eta", tuple(spec)), E4)),
+    st.builds(lambda k, n: call("E", k, n), st.sampled_from([2, 4, 6]), st.integers(1, 6)),
+    st.builds(lambda a, m: call("phi", a, a * m), st.integers(1, 3), st.integers(2, 4)),
+    st.builds(lambda k, psi, chi, t: call("chareis", k, psi, chi, t),
+              st.sampled_from([2, 4]), CHARACTERS, CHARACTERS, st.integers(1, 3)),
+    st.sampled_from(["delta_4_5", "c10", "f2_4_11", "e1_2_13"]).map(parse_expr),
+)
+
+
+def _extend(forms_):
+    return st.one_of(
+        st.builds(lambda i, f: call("D", i, f), st.integers(0, 2), forms_),
+        st.builds(lambda f, d: call("rescale", f, d), forms_, st.integers(1, 3)),
+        st.builds(lambda f, n: _or(lambda: call("root", f, n), f), forms_, st.integers(1, 3)),
+        st.builds(lambda f, g: _or(lambda: call("rc1", f, g), f), forms_, forms_),
+        st.builds(lambda f, chi: call("twist", f, chi), forms_, CHARACTERS),
+        st.builds(lambda p, f: call("T", p, f), st.sampled_from([2, 3, 5]), forms_),
+        # the operators, as the parser builds them from the operands' texts
+        st.builds(lambda f, g: parse_expr(f"({f}) + ({g})"), forms_, forms_),
+        st.builds(lambda f, g: parse_expr(f"({f}) - ({g})"), forms_, forms_),
+        st.builds(lambda f, c: parse_expr(f"({f}) + {c}"), forms_, COEFFS),
+        st.builds(lambda f, g: parse_expr(f"({f})*({g})"), forms_, forms_),
+        st.builds(lambda f, m: parse_expr(f"({f})^{m}"), forms_, st.integers(1, 3)),
+        st.builds(lambda c, f: parse_expr(f"{c}*({f})"), COEFFS, forms_),
+    )
+
+
+EXPRESSIONS = st.recursive(LEAVES, _extend, max_leaves=8)
+BUILT = {"eta", "E", "phi", "chareis", "D", "rescale", "root", "rc1", "twist", "T"}
+
+
+def test_the_strategy_builds_every_function():
+    assert set(forms._FUNCTIONS) == BUILT
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(EXPRESSIONS)
+@example(parse_expr("(E(4)*E(6))^2"))
+@example(parse_expr("(2*E(4))*E(6)"))
+@example(parse_expr("2*(3*E(4))"))
+def test_expressions_print_and_parse_back(e):
+    again = parse_expr(str(e))
+    assert again == e
+    assert (again.weight, again.depth, again.level) == (e.weight, e.depth, e.level)
+
+
+def test_call_checks_its_arguments():
+    assert str(call("D", 2, call("E", 2, 1))) == "D^2(E(2))"
+    assert str(call("eta", ((1, 4), (5, 4)))) == "eta(1^4*5^4)"
+    for name, args in [("E", (4,)), ("E", (4, 1, 1)), ("rescale", (E4, 0)), ("zeta", (2,))]:
+        with pytest.raises(ValueError):
+            call(name, *args)
+
+
+@pytest.mark.parametrize("text", [
+    "foo(1)",             # unknown function
+    "bar",                # unknown name
+    "twist(E(4),psi)",    # unknown character
+    "E(4)$",              # a character outside the language
+    "phi(1)",             # missing argument
+    "phi(1,2,3)",         # extra argument
+    "E(4))",              # trailing input
+    "E(4) +",             # unexpected end
+    "eta(1^1)",
+    "root(E(2),2)",
+    "rc1(E(2),E(4))",
+    "T(4,E(4))",
+])
+def test_malformed_texts_are_rejected(text):
+    with pytest.raises(ValueError):
+        parse_expr(text)
+
+
+def test_series_rules_call_the_module_bindings(monkeypatch):
+    # a table entry holding the function object would bypass a patched
+    # binding, and the benchmark's per-layer spans would read 0
+    text = "twist(E(4,2),chi3) + eta(1^16*2^4)"
+    want = evaluate(parse_expr(text), 20)
+    seen = []
+    for name in ("eisenstein", "eta_quotient", "twist", "evaluate"):
+        def spy(*args, _orig=getattr(forms, name), _name=name):
+            seen.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(forms, name, spy)
+    assert evaluate(parse_expr(text), 20) == want
+    assert set(seen) == {"eisenstein", "eta_quotient", "twist", "evaluate"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(-30, 30)), min_size=1, max_size=4))
+def test_eta_level_is_the_smallest_multiple(spec):
+    base = lcm(*(d for d, _ in spec))
+    want = next(k * base for k in range(1, 25)
+                if sum((k * base // d) * r for d, r in spec) % 24 == 0)
+    assert forms._eta_level(tuple(spec)) == want
+
+
+def test_rescale_keeps_only_the_requested_coefficients():
+    expr = parse_expr("rescale(E(4),100000)")
+    tracemalloc.start()
+    try:
+        series = evaluate(expr, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert series.prec == 64 and series.coeff_list() == [1] + [0] * 64

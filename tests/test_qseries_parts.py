@@ -15,7 +15,7 @@ from qmforms.exactnum import FieldElement, FieldMismatch, conj
 from qmforms.forms import eisenstein
 from qmforms.heckeeigen import conj_series
 from qmforms.linalg import rref
-from qmforms.qseries import QSeries
+from qmforms.qseries import PrecisionError, QSeries
 from test_qseries_product import EXT, OTHER, huge_ints, quadratic_coeffs, rational_coeffs, series
 
 rational_scalars = st.one_of(st.integers(-10**6, 10**6), huge_ints,
@@ -173,3 +173,14 @@ def test_hecke_rejects_bad_operators(p, weight, level):
     f = eisenstein(4, 1, 40)
     with pytest.raises(ValueError, match="T_p needs"):
         f.hecke(p, weight, level)
+
+
+@settings(max_examples=120, deadline=None)
+@given(any_series, st.integers(1, 4), st.data())
+def test_rescale_to_a_target_precision(f, d, data):
+    target = data.draw(st.integers(0, f.prec * d))
+    spread = [0] * (f.prec * d + 1)
+    spread[::d] = f.coeffs
+    assert_matches(f.rescale(d, target), spread[: target + 1], target, f.ext)
+    with pytest.raises(PrecisionError):
+        f.rescale(d, f.prec * d + 1)
