@@ -21,6 +21,10 @@ class UsageError(Exception):
     pass
 
 
+# the least working precision; expand takes a lower value as its output precision
+MIN_PREC = 64
+
+
 @dataclass(frozen=True)
 class RunConfig:
     precision: int = 256
@@ -29,8 +33,8 @@ class RunConfig:
     catalog_path: str | None = None
 
     def __post_init__(self):
-        if self.precision < 64:
-            raise UsageError("precision must be at least 64")
+        if self.precision < 0:
+            raise UsageError(f"precision must be nonnegative, got {self.precision}")
         if self.fmt not in ("human", "jsonl", "csv"):
             raise UsageError(f"unknown output format {self.fmt!r}")
 
@@ -68,8 +72,10 @@ def _config(args) -> RunConfig:
             field, conv = _CONFIG_KEYS[key]
             kw[field] = conv(val)
         cfg = replace(cfg, **kw)
-    if getattr(args, "prec", None):
-        cfg = replace(cfg, precision=max(64, args.prec))
+    if getattr(args, "prec", None) is not None:
+        cfg = replace(cfg, precision=args.prec)
+    if cfg.precision < MIN_PREC and args.fn is not _cmd_expand:
+        raise UsageError(f"precision must be at least {MIN_PREC} for {args.command}")
     if getattr(args, "nmax", None):
         cfg = replace(cfg, n_max=args.nmax)
     if getattr(args, "format", None):
@@ -104,10 +110,9 @@ def _emit(records, cfg: RunConfig, human_fn):
 
 def _cmd_expand(args, cfg: RunConfig) -> int:
     expr = forms.parse_expr(args.expr)
-    series = forms.evaluate(expr, cfg.precision)
-    want = getattr(args, "prec", None)
-    if want is not None and want < series.prec:
-        series = series.truncate(want)
+    series = forms.evaluate(expr, max(MIN_PREC, cfg.precision))
+    if cfg.precision < series.prec:
+        series = series.truncate(cfg.precision)
     rec = series.to_record(str(expr))
     _emit([rec], cfg, lambda r: f"{r['expr']} = {series_str(series)}")
     return 0

@@ -702,7 +702,6 @@ class SpaceBasis:
     cuspidal: bool
     elements: tuple
     pivots: tuple
-    pool_exprs: tuple
     combos: tuple
 
     @property
@@ -740,7 +739,7 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     exprs = tuple(e for e, _ in pool)
     combos = tuple(tuple(c) for c in ech.transform[: ech.rank])
     elements = tuple((_combo_expr(c, exprs), QSeries(row)) for c, row in zip(combos, ech.rows))
-    return SpaceBasis(weight, level, cuspidal, elements, ech.pivots, exprs, combos)
+    return SpaceBasis(weight, level, cuspidal, elements, ech.pivots, combos)
 
 
 def generator_pool(weight: int, level: int, cuspidal: bool = False,

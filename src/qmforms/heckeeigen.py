@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import forms, linalg
+from . import forms, linalg, oracle
 from .exactnum import (
     FieldElement,
     QuadExt,
@@ -36,17 +36,11 @@ __all__ = [
     "hecke_matrix",
     "extract_newforms",
     "multiplicativity_solve",
-    "conj_series",
     "Registry",
     "registry",
 ]
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def conj_series(f: QSeries) -> QSeries:
-    """Apply the quadratic conjugation to every coefficient."""
-    return f.conj()
 
 
 @dataclass
@@ -107,151 +101,108 @@ def _validate_newform(nf: Newform):
 # Hecke matrices
 
 
-def hecke_matrix(space: forms.SpaceBasis, p: int):
-    """Matrix of T_p in the echelon basis, columns indexed by basis elements."""
-    dim = len(space.elements)
-    if dim == 0:
+def hecke_matrix(space: forms.SpaceBasis, p: int, fs=None):
+    """Matrix of T_p on the span of the series fs, columns indexed by the fs.
+
+    fs defaults to the echelon basis of the space; given, it must be a basis
+    of a T_p-stable subspace.  The precision guard is the whole space's.
+    """
+    fs = space.series() if fs is None else fs
+    if not fs:
         return []
+    dim = len(space.elements)
     if space.prec < p * (space.pivots[-1] + dim + 2):
         raise PrecisionError(
             f"basis precision {space.prec} too low for T_{p} on {dim} elements"
         )
-    ech = linalg.rref(space.series())
+    ech = linalg.rref(fs)
     cols = []
-    for s in space.series():
-        coords, fail = ech.coords(s.hecke(p, space.weight, space.level).coeffs)
+    for f in fs:
+        coords, fail = ech.coords(f.hecke(p, space.weight, space.level))
         if fail is not None:
             raise ValueError(
                 f"T_{p} image leaves the space (exponent {fail}); pool is not stable"
             )
         cols.append(coords)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------
 # eigenform extraction by diagonalization
 
 
-def _restrict(op, basis_vectors):
-    """Matrix of a linear map on the subspace spanned by basis_vectors."""
-    dim = len(op)
-    ech = linalg.rref(basis_vectors)
-    images = []
-    for v in basis_vectors:
-        img = [sum(op[i][j] * v[j] for j in range(dim)) for i in range(dim)]
-        coords, fail = ech.coords(img)
-        if fail is not None:
-            raise ValueError("subspace not stable under the operator")
-        images.append(coords)
-    return [[images[j][i] for j in range(len(basis_vectors))] for i in range(len(basis_vectors))]
+def _split(space, fs, is_old, prime_idx=0):
+    """Eigenforms (ext, series) on the Hecke-stable span of fs, old ones dropped.
 
-
-def _lift(coords, basis_vectors):
-    n = len(basis_vectors[0])
-    return [sum(c * bv[j] for c, bv in zip(coords, basis_vectors)) for j in range(n)]
-
-
-def _split_subspace(space, basis_vectors, ops, prime_idx, pieces):
-    """Recursively split a Hecke-stable subspace into 1-d and conjugate parts."""
+    Each eigenspace of T_p is kept as series, combine(kernel vector, fs): one
+    series is an eigenform, more are split again by the next prime.  A
+    quadratic factor gives one eigenform over Q(t); its conjugate is the other.
+    """
     if prime_idx >= len(_PRIMES):
         raise ValueError("eigenspaces did not split with the available primes")
-    p = _PRIMES[prime_idx]
-    if p not in ops:
-        ops[p] = hecke_matrix(space, p)
-    op = _restrict(ops[p], basis_vectors)
-    cp = linalg.charpoly(op)
-    roots, quads = factor_small(cp, max_degree=len(op))
+    op = hecke_matrix(space, _PRIMES[prime_idx], fs)
+    roots, quads = factor_small(linalg.charpoly(op), max_degree=len(op))
     if not roots and not quads:
         raise ValueError("characteristic polynomial did not factor")
+    out = []
     for lam in sorted(set(roots), reverse=True):
-        shifted = [[op[i][j] - (lam if i == j else 0) for j in range(len(op))]
-                   for i in range(len(op))]
-        kern = linalg.nullspace(shifted)
-        vectors = [_lift(k, basis_vectors) for k in kern]
-        if len(vectors) == 1:
-            pieces.append(("vec", vectors[0]))
-        else:
-            _split_subspace(space, vectors, ops, prime_idx + 1, pieces)
+        gs = [combine(k, fs) for k in linalg.nullspace(_shift(op, lam))]
+        if len(gs) > 1:
+            out += _split(space, gs, is_old, prime_idx + 1)
+        elif not is_old(gs[0]):
+            out.append((None, gs[0]))
     for qf in quads:
-        qop = _poly_of_matrix([-qf.q, -qf.p, Fraction(1)], op)
-        kern = linalg.nullspace(qop)
+        kern = linalg.nullspace(_poly_of_matrix(qf, op))
         if len(kern) != 2:
             raise ValueError("unexpected multiplicity of a quadratic factor")
-        vectors = [_lift(k, basis_vectors) for k in kern]
-        pieces.append(("quad", qf, vectors, [[r[:] for r in op], basis_vectors]))
-    return pieces
+        if all(is_old(combine(k, fs)) for k in kern):
+            continue
+        if not qf.totally_real:
+            raise ValueError(
+                f"quadratic eigenvalue factor X^2-{qf.p}X-{qf.q} is not totally real"
+            )
+        ext = qf.ext()
+        kern = linalg.nullspace(_shift(op, ext.gen()))
+        if len(kern) != 1:
+            raise ValueError("quadratic eigenvalue is not simple")
+        out.append((ext, combine(kern[0], fs)))
+    return out
 
 
-def _poly_of_matrix(poly, m):
+def _shift(m, lam):
+    """m - lam I."""
+    return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def _poly_of_matrix(qf, m):
+    """m^2 - p m - q I for the factor X^2 - p X - q."""
     n = len(m)
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        acc[i][i] = poly[-1]
-    for c in reversed(poly[:-1]):
-        acc = [[sum(acc[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            acc[i][i] += c
-    return acc
+    return [[sum(m[i][t] * m[t][j] for t in range(n)) - qf.p * m[i][j] - (qf.q if i == j else 0)
+             for j in range(n)] for i in range(n)]
 
 
 def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
     """Newforms of a cusp space, by Hecke diagonalization.
 
-    old_span lists expansions of forms arising from lower levels; eigenvectors
+    old_span lists expansions of forms arising from lower levels; eigenforms
     falling inside their span are discarded.  Quadratic eigenvalue pairs must
     be totally real unless the corresponding subspace is old.
     """
-    dim = len(space.elements)
     ech = linalg.rref(space.series())
-    old_coords = []
-    for s in old_span:
-        coords, fail = ech.coords(s.coeffs)
-        if fail is not None:
-            raise ValueError("old form does not lie in the cusp space")
-        old_coords.append(coords)
-    old = linalg.rref(old_coords)
+    if any(ech.coords(s)[1] is not None for s in old_span):
+        raise ValueError("old form does not lie in the cusp space")
+    old = linalg.rref(old_span)
 
-    def is_old(v):
-        return old.coords(v)[1] is None
+    def is_old(f):
+        return old.coords(f)[1] is None
 
-    expected = dim - old.rank
-    identity = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-    pieces = []
-    if dim:
-        _split_subspace(space, identity, {}, 0, pieces)
-    out = []
-    for piece in pieces:
-        if piece[0] == "vec":
-            v = piece[1]
-            if is_old(v):
-                continue
-            f = combine(v, space.series())
-            lead = f.coeff(f.valuation())
-            f = (1 / as_fraction(lead)) * f if lead != 1 else f
-            out.append((None, f))
-        else:
-            _, qf, vectors, (op, basis_vectors) = piece
-            if all(is_old(v) for v in vectors):
-                continue
-            if not qf.totally_real:
-                raise ValueError(
-                    f"quadratic eigenvalue factor X^2-{qf.p}X-{qf.q} is not totally real"
-                )
-            ext = qf.ext()
-            t = ext.gen()
-            n = len(op)
-            shifted = [[FieldElement(op[i][j], 0, ext) - (t if i == j else 0)
-                        for j in range(n)] for i in range(n)]
-            kern = linalg.nullspace(shifted)
-            if len(kern) != 1:
-                raise ValueError("quadratic eigenvalue is not simple")
-            v = _lift(kern[0], basis_vectors)
-            f = combine(v, space.series())
-            lead = f.coeff(f.valuation())
-            if lead != 1:
-                f = (1 / lead) * f
-            out.append((ext, f))
-    nfs = _label_sorted(out, space.weight, space.level)
+    parts = []
+    for ext, f in _split(space, space.series(), is_old) if space.elements else ():
+        v = f.valuation()
+        lead = f.truncate(v).coeff(v)  # f's own value tuple is never needed
+        parts.append((ext, f if lead == 1 else (Fraction(1) / lead) * f))
+    nfs = _label_sorted(parts, space.weight, space.level)
+    expected = len(space.elements) - old.rank
     if len(nfs) != expected:
         raise ValueError(f"extracted {len(nfs)} newforms, expected {expected}")
     return nfs
@@ -265,7 +216,7 @@ def _sort_key(series: QSeries):
 def _label_sorted(parts, weight: int, level: int) -> list[Newform]:
     """Rational newforms by descending a(2..12), then each quadratic one after its conjugate."""
     rationals = [(ext, s) for ext, s in parts if ext is None]
-    quads = [(ext, g) for ext, s in parts if ext is not None for g in (conj_series(s), s)]
+    quads = [(ext, g) for ext, s in parts if ext is not None for g in (s.conj(), s)]
     rationals.sort(key=lambda p: _sort_key(p[1]), reverse=True)
     ordered = rationals + quads
     out = []
@@ -430,47 +381,45 @@ def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) ->
 # ---------------------------------------------------------------------------
 # the catalog of eigenforms used by the identity engine
 
-# (weight, level) -> generator texts spanning the old part of S_k(Gamma0(N))
-_OLD_SPANS = {
-    (12, 1): [],
-    (4, 5): [],
-    (4, 6): [],
-    (4, 7): [],
-    (4, 8): [],
-    (4, 9): [],
-    (8, 2): [],
-    (2, 11): [],
-    (2, 14): [],
-    (6, 5): [],
-    (4, 10): ["delta_4_5", "f_4_5_2"],
-    (4, 11): [],
-    (4, 13): [],
-    (4, 14): ["delta_4_7", "f_4_7_2"],
-    (6, 10): ["delta_6_5", "f_6_5_2"],
-    (8, 5): [],
-}
-
 _TAU_ALIASES = {"tau": "12.1.1"}
 
 
+def _new_dimension(weight: int, level: int) -> int:
+    """dim S_k^new(N), from dim S_k(N) = sum over M | N of sigma0(N/M) dim S_k^new(M)."""
+    return forms.dimension(weight, level, cuspidal=True) - sum(
+        len(oracle.divisors(level // m)) * _new_dimension(weight, m)
+        for m in oracle.divisors(level)[:-1]
+    )
+
+
 class Registry:
-    """Cache of the eigenforms the identity catalog refers to."""
+    """Cache of the newforms of every space with a cusp pool."""
 
     def __init__(self, prec: int = forms.DEFAULT_PREC):
         self.prec = prec
         self._spaces: dict = {}
+        self._tau: dict = {}
 
     def space_newforms(self, weight: int, level: int) -> list[Newform]:
         key = (weight, level)
         if key in self._spaces:
             return self._spaces[key]
-        if key not in _OLD_SPANS:
+        if key not in forms._CUSP_POOLS:
             raise KeyError(f"no newform construction for weight {weight}, level {level}")
         space = forms.space_basis(weight, level, True, self.prec)
-        old = [s for _, s in forms._build(_OLD_SPANS[key], self.prec)]
-        out = extract_newforms(space, old)
+        out = extract_newforms(space, self.old_span(weight, level))
         self._spaces[key] = out
         return out
+
+    def old_span(self, weight: int, level: int) -> list[QSeries]:
+        """f(dz) for each newform f of level M | N, M < N, and each d | N/M.
+
+        By Atkin-Lehner theory these span the old part of S_k(Gamma0(N)).
+        """
+        return [nf.series.rescale(d, self.prec)
+                for m in oracle.divisors(level)[:-1] if _new_dimension(weight, m)
+                for nf in self.space_newforms(weight, m)
+                for d in oracle.divisors(level // m)]
 
     def newform(self, label: str) -> Newform:
         parts = label.split(".")
@@ -478,16 +427,15 @@ class Registry:
         return self.space_newforms(weight, level)[idx - 1]
 
     def labels(self) -> list[str]:
-        out = []
-        for (k, n) in sorted(_OLD_SPANS):
-            dim = forms.dimension(k, n, cuspidal=True)
-            old = len(_OLD_SPANS[(k, n)])
-            out += [f"{k}.{n}.{i + 1}" for i in range(dim - old)]
-        return sorted(out)
+        return sorted(f"{k}.{n}.{i + 1}" for k, n in forms._CUSP_POOLS
+                      for i in range(_new_dimension(k, n)))
 
     def tau(self, name: str, n: int):
         """Coefficient lookup by table-style name, e.g. tau_4_11_2."""
-        return self.newform(self.tau_label(name)).coefficient(n)
+        nf = self._tau.get(name)
+        if nf is None:
+            nf = self._tau[name] = self.newform(self.tau_label(name))
+        return nf.coefficient(n)
 
     @staticmethod
     def tau_label(name: str) -> str:

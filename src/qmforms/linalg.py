@@ -89,19 +89,26 @@ class Echelon:
     def coords(self, v):
         """Coordinates x over the input rows, and the first column where x·A != v.
 
-        x matches v on the pivot columns; every column that v and the rows
-        both have is then checked, and the first mismatch is returned in place
-        of None.  With no rows the span is {0}, checked on every column of v.
+        v is a QSeries or a sequence of values.  x matches v on the pivot
+        columns, read from a truncation of v; every column that v and the
+        rows both have is then checked in integer parts, and the first
+        mismatch is returned in place of None.  With no rows the span is {0},
+        checked on every column of v.
         """
         x = [Fraction(0)] * len(self.transform)
+        if not isinstance(v, QSeries):
+            if not len(v):
+                return x, None
+            v = QSeries(v)
+        head = v.truncate(min(v.prec, max(self.pivots, default=0))).coeffs
         for tk, pc in zip(self.transform, self.pivots):
-            y = v[pc]
+            y = head[pc]
             if y:
                 x = [a + y * b if b else a for a, b in zip(x, tk)]
-        m = min(len(v), self.ncols) if self.transform else len(v)
-        if not m:
+        m = min(v.prec, self.ncols - 1) if self.transform else v.prec
+        if m < 0:
             return x, None
-        rest = QSeries(v[:m]) - combine(x, self.series, m - 1)
+        rest = v.truncate(m) - combine(x, self.series, m)
         return x, rest.valuation()
 
 

@@ -163,7 +163,7 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
     ech = linalg.rref([s.truncate(prec) for s in basis.series()])
     if ech.rank < ncols:
         raise ValueError("basis is linearly dependent on the available coefficients")
-    sol, fail = ech.coords(target.coeffs[: prec + 1])
+    sol, fail = ech.coords(target.truncate(prec))
     if fail is not None:
         raise IntegrityError(f"decomposition fails verification at exponent {fail}")
     return Decomposition(basis, tuple(sol), prec)

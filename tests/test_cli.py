@@ -150,3 +150,48 @@ def test_expand_rejects_bad_arguments(capsys, text, named):
     code = main(["expand", text, "--prec", "64"])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, expect", [
+    # expand: a precision below 64 is the output precision, evaluated at 64
+    (["expand", "E(4)", "--prec", "0"], 0, 0),
+    (["expand", "E(4)", "--prec", "8"], 0, 8),
+    (["expand", "E(4)", "--prec", "64"], 0, 64),
+    (["expand", "E(4)", "--prec", "-1"], 2, "nonnegative"),
+    # every other command: below 64 is a usage error that names the minimum
+    (["basis", "--weight", "4", "--level", "5", "--prec", "8"], 2, "at least 64"),
+    (["newforms", "--weight", "4", "--level", "5", "--prec", "0"], 2, "at least 64"),
+    (["verify", "--id", "w1", "--nmax", "10", "--prec", "63"], 2, "at least 64"),
+    (["basis", "--weight", "4", "--level", "5", "--prec", "-5"], 2, "nonnegative"),
+])
+def test_one_precision_rule_for_the_flag(capsys, argv, code, expect):
+    assert main(argv + ["--format", "jsonl"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["prec"] == expect
+    else:
+        assert expect in err
+
+
+@pytest.mark.parametrize("command, value, code", [
+    (["expand", "E(4)"], "8", 0),
+    (["expand", "E(4)"], "-1", 2),
+    (["basis", "--weight", "4", "--level", "5"], "8", 2),
+    (["basis", "--weight", "4", "--level", "5"], "64", 0),
+])
+def test_one_precision_rule_for_the_config_key(tmp_path, capsys, command, value, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"precision={value}\n")
+    assert main(["--config", str(cfg)] + command) == code
+    out = capsys.readouterr().out
+    if command[0] == "expand" and code == 0:
+        assert "(prec 8, field Q)" in out
+
+
+def test_precision_flag_wins_over_the_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision=8\n")
+    assert main(["--config", str(cfg), "basis", "--weight", "4", "--level", "5",
+                 "--prec", "64"]) == 0
+    assert main(["--config", str(cfg), "expand", "E(4)", "--prec", "3"]) == 0
+    assert "(prec 3, field Q)" in capsys.readouterr().out

@@ -5,9 +5,7 @@ import pytest
 from qmforms import forms, linalg, oracle
 from qmforms.exactnum import QuadExt
 from qmforms.heckeeigen import (
-    _OLD_SPANS,
     Registry,
-    conj_series,
     extract_newforms,
     hecke_matrix,
     multiplicativity_solve,
@@ -95,7 +93,7 @@ def test_dependent_old_span(reg):
 
 def test_cross_precision_spaces_and_newforms(reg, reg512):
     # built at 512 and truncated to 128, every space and newform equals the build at 128
-    for k, n in sorted(_OLD_SPANS):  # the spaces Registry.space_newforms builds
+    for k, n in sorted(forms._CUSP_POOLS):  # the spaces Registry.space_newforms builds
         hi, lo = forms.space_basis(k, n, True, 512), forms.space_basis(k, n, True, P)
         assert hi.pivots == lo.pivots
         assert hi.combos == lo.combos
@@ -103,6 +101,31 @@ def test_cross_precision_spaces_and_newforms(reg, reg512):
     for label in reg.labels():
         a, b = reg512.newform(label), reg.newform(label)
         assert (a.ext, a.series.truncate(P)) == (b.ext, b.series)
+
+
+
+# the old parts once listed as generator texts, against the derived f(dz)
+PINNED_OLD = {(4, 10): ["delta_4_5", "f_4_5_2"], (4, 14): ["delta_4_7", "f_4_7_2"],
+              (6, 10): ["delta_6_5", "f_6_5_2"]}
+
+
+def test_old_spans_derived_from_lower_levels(reg):
+    for k, n in sorted(forms._CUSP_POOLS):
+        derived = reg.old_span(k, n)
+        if (k, n) not in PINNED_OLD:
+            assert derived == [], (k, n)
+            continue
+        pinned = [s for _, s in forms._build(PINNED_OLD[(k, n)], P)]
+        ranks = [linalg.rref(rows).rank for rows in (derived, pinned, derived + pinned)]
+        assert ranks == [2, 2, 2], (k, n)
+
+
+def test_labels_from_the_new_dimensions(reg):
+    assert reg.labels() == [
+        "12.1.1", "2.11.1", "2.14.1", "4.10.1", "4.11.1", "4.11.2", "4.13.1", "4.13.2",
+        "4.13.3", "4.14.1", "4.14.2", "4.5.1", "4.6.1", "4.7.1", "4.8.1", "4.9.1",
+        "6.10.1", "6.10.2", "6.10.3", "6.5.1", "8.2.1", "8.5.1", "8.5.2", "8.5.3",
+    ]
 
 
 # S_6(10) is the one space where the solver fixes a(2) and solves again for a(3)
@@ -166,7 +189,7 @@ def test_conjugation_swaps_partners(reg):
     for k, n in ((4, 11), (4, 13), (8, 5)):
         nfs = [f for f in reg.space_newforms(k, n) if f.ext is not None]
         a, b = nfs
-        assert conj_series(a.series).coeff_list(60) == b.series.coeff_list(60)
+        assert a.series.conj().coeff_list(60) == b.series.coeff_list(60)
 
 
 def test_hecke_multiplicativity_relation(reg):

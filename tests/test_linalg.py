@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmforms.exactnum import FieldElement, QuadExt
 from qmforms.linalg import charpoly, nullspace, rref, solve
+from qmforms.qseries import QSeries
 
 EXT = QuadExt(2, 2)  # t^2 = 2t + 2
 
@@ -52,11 +53,13 @@ def check_coords(ech, rows, y):
     x, fail = ech.coords(v)
     assert fail is None
     assert combination(x, rows) == v
+    assert ech.coords(QSeries(v)) == (x, None)  # a series reads as its value list
     free = next((c for c in range(len(v)) if c not in ech.pivots), None)
     if free is not None:
         # same pivot entries, so the same coordinates, off the span at `free` only
         v[free] += 1
         assert ech.coords(v) == (x, free)
+        assert ech.coords(QSeries(v)) == (x, free)
 
 
 @settings(max_examples=60, deadline=None)

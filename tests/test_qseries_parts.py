@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from qmforms.exactnum import FieldElement, FieldMismatch, conj
 from qmforms.forms import eisenstein
-from qmforms.heckeeigen import conj_series
 from qmforms.linalg import rref
 from qmforms.qseries import PrecisionError, QSeries
 from test_qseries_product import EXT, OTHER, huge_ints, quadratic_coeffs, rational_coeffs, series
@@ -89,8 +88,8 @@ def test_hecke(f, p, weight, level):
 @settings(max_examples=120, deadline=None)
 @given(any_series)
 def test_conjugation(f):
-    assert_matches(conj_series(f), [conj(x) for x in f.coeffs], f.prec, f.ext)
-    assert conj_series(conj_series(f)) == f
+    assert_matches(f.conj(), [conj(x) for x in f.coeffs], f.prec, f.ext)
+    assert f.conj().conj() == f
 
 
 @settings(max_examples=80, deadline=None)
