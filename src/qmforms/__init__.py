@@ -25,7 +25,7 @@ from .forms import (
 from .heckeeigen import Newform, Registry, extract_newforms, hecke_matrix, \
     multiplicativity_solve, registry
 from .linearize import build_H, build_lahiri, decompose, named_qm_basis, qm_basis
-from .identities import catalog, evaluate_rhs, verify, verify_all
+from .identities import catalog, evaluate_rhs, verify
 from . import oracle
 
 __version__ = "0.1.0"

@@ -36,7 +36,6 @@ __all__ = [
 class DirichletCharacter:
     modulus: int
     values: tuple
-    primitive: bool
     name: str
 
     def __call__(self, n: int) -> int:
@@ -60,7 +59,7 @@ class DirichletCharacter:
 @lru_cache(maxsize=None)
 def trivial_character() -> DirichletCharacter:
     """The primitive character of modulus 1 (constant 1, including at 0)."""
-    return DirichletCharacter(1, (1,), True, "one")
+    return DirichletCharacter(1, (1,), "one")
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +69,7 @@ def principal_character(n: int) -> DirichletCharacter:
     if n == 1:
         return trivial_character()
     vals = tuple(1 if gcd(c, n) == 1 else 0 for c in range(n))
-    return DirichletCharacter(n, vals, False, f"chi0_{n}")
+    return DirichletCharacter(n, vals, f"chi0_{n}")
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +81,7 @@ def quadratic_character(m: int) -> DirichletCharacter:
     for c in range(1, m):
         e = pow(c, (m - 1) // 2, m)
         vals[c] = 1 if e == 1 else -1
-    return DirichletCharacter(m, tuple(vals), True, f"chi{m}")
+    return DirichletCharacter(m, tuple(vals), f"chi{m}")
 
 
 def make_character(kind: str, modulus: int | None = None) -> DirichletCharacter:

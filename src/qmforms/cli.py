@@ -162,13 +162,9 @@ def _cmd_linearize(args, cfg: RunConfig) -> int:
     rec["expr"] = str(expr)
     _emit([rec], cfg, lambda r: "\n".join(
         [f"{r['expr']} ="]
-        + [f"  {c} * {b}" for b, c in zip(r["basis_exprs"], r["coefficients"]) if Fraction(0) != _nonzero(c)]
+        + [f"  {c} * {b}" for b, c in zip(r["basis_exprs"], r["coefficients"]) if c != "0"]
         + [f"  (verified through q^{r['verified_to']})"]))
     return 0
-
-
-def _nonzero(c: str):
-    return 1 if c not in ("0", "0/1") else Fraction(0)
 
 
 def _parse_vec(s: str):
@@ -176,11 +172,10 @@ def _parse_vec(s: str):
 
 
 def _cmd_convolve(args, cfg: RunConfig) -> int:
-    if ":" in args.n:
-        lo, hi = (int(x) for x in args.n.split(":"))
-        ns = range(lo, hi + 1)
-    else:
-        ns = [int(args.n)]
+    lo, hi = (int(x) for x in (args.n.split(":") if ":" in args.n else (args.n, args.n)))
+    if min(lo, hi) < 0:
+        raise UsageError(f"n must be >= 0, got {args.n}")
+    ns = range(lo, hi + 1)
     records = []
     for n in ns:
         if args.kind == "W":

@@ -379,10 +379,6 @@ class QuadraticFactor:
     q: Fraction
     totally_real: bool
 
-    @property
-    def disc(self) -> Fraction:
-        return self.p * self.p + 4 * self.q
-
     def ext(self) -> QuadExt:
         if not self.totally_real:
             raise ValueError("factor is not totally real")

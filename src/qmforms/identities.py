@@ -30,7 +30,6 @@ __all__ = [
     "rhs_sweep",
     "lhs_sweep",
     "verify",
-    "verify_all",
 ]
 
 
@@ -222,13 +221,3 @@ def verify(spec: IdentitySpec, n_max: int | None = None, tau=None) -> Report:
     bad = [n for n, x, y in zip(range(1, n_max + 1), lhs[1:], num[1:]) if sn * x != sd * y]
     failures = tuple((n, spec.lhs_scalar * lhs[n], Fraction(num[n], den)) for n in bad)
     return Report(spec.ident, n_max, n_max - len(bad), failures)
-
-
-def verify_all(idents=None, n_max: int | None = None, tau=None) -> list[Report]:
-    specs = catalog() if idents is None else [get_identity(i) for i in idents]
-    if tau is None:
-        from .heckeeigen import registry
-
-        bound = max(n_max or 0, max(s.nmax for s in specs), 256)
-        tau = registry(bound).tau
-    return [verify(spec, n_max, tau) for spec in specs]

@@ -1,8 +1,11 @@
 """Dense exact linear algebra over Q or a quadratic extension.
 
-Matrix entries are ints, Fractions or FieldElements.  Every elimination in
-the engine goes through one routine, `Echelon`; `rref`, `solve` and
-`nullspace` are thin entries to it.
+Matrix entries are ints, Fractions or FieldElements, given as rows that are
+sequences of values or QSeries.  Every elimination in the engine goes through
+one routine, `Echelon`; `rref`, `solve` and `nullspace` are thin entries to
+it.  `Echelon` keeps its transform T as QSeries rows too, so pivot scaling
+and row elimination are series arithmetic on integer parts; values are built
+only where a caller reads them.
 """
 
 from __future__ import annotations
@@ -10,19 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import split_parts
 from .qseries import QSeries, combine
 
 __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
 
-def _dot(w, col):
-    """sum_j x_j col_j for the vector x with integer parts w = (a, b, d, ext)."""
-    a, b, d, ext = w
-    v = sum(x * y for x, y in zip(a, col) if x and y)
-    if b is not None:
-        v += ext.gen() * sum(x * y for x, y in zip(b, col) if x and y)
-    return Fraction(v, d) if isinstance(v, int) else v / d
+def _dot(s, col):
+    """sum_j x_j col_j for the vector x held as the series s."""
+    v = sum(x * y for x, y in zip(s.num, col) if x and y)
+    if s.tnum is not None:
+        v += s.ext.gen() * sum(x * y for x, y in zip(s.tnum, col) if x and y)
+    return Fraction(v, s.den) if isinstance(v, int) else v / s.den
 
 
 class Echelon:
@@ -34,8 +35,9 @@ class Echelon:
     reaches it), and the scan stops once every row has a pivot, so a long
     tail of columns costs nothing.  The first `rank` rows of T express the
     nonzero rows of R in the input rows; the rest span the left kernel.
-    Rows are held as series (a row is given as a QSeries or a sequence), so
-    every product x·A is a series combination in integer parts.
+    Rows of A and of T are held as series (a row of A is given as a QSeries
+    or a sequence), so every product x·A and every row operation on T is a
+    series combination in integer parts.
     """
 
     def __init__(self, rows):
@@ -44,36 +46,37 @@ class Echelon:
         self.ncols = 0 if not n else rows[0].prec + 1 if isinstance(rows[0], QSeries) else len(rows[0])
         self.series = [r if isinstance(r, QSeries) else QSeries(r) for r in rows] if self.ncols else []
         self.source = [s.coeffs for s in self.series]
-        t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        w = [split_parts(row) for row in t]  # T's rows as integer parts, for the dot products
+        t = [QSeries([0] * i + [1], n - 1) for i in range(n)]
         pivots = []
         for c in range(self.ncols):
             r = len(pivots)
             if r == n:
                 break
             col = [a[c] for a in self.source]
-            vals = [_dot(wi, col) for wi in w]
+            vals = [_dot(ti, col) for ti in t]
             pr = next((i for i in range(r, n) if vals[i]), None)
             if pr is None:
                 continue
             t[r], t[pr] = t[pr], t[r]
-            w[r], w[pr] = w[pr], w[r]
             vals[r], vals[pr] = vals[pr], vals[r]
-            t[r] = [x / vals[r] for x in t[r]]
-            w[r] = split_parts(t[r])
+            t[r] = t[r] * (1 / vals[r])
             for i, f in enumerate(vals):
                 if i != r and f:
-                    t[i] = [a - f * b if b else a for a, b in zip(t[i], t[r])]
-                    w[i] = split_parts(t[i])
+                    t[i] = t[i] - t[r] * f
             pivots.append(c)
-        self.transform = t
+        self.tseries = t
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
 
     @cached_property
+    def transform(self):
+        """T as a list of value lists, one per row."""
+        return [list(tk.coeffs) for tk in self.tseries]
+
+    @cached_property
     def rows(self):
         """The nonzero rows of R."""
-        return [list(combine(tk, self.series).coeffs) for tk in self.transform[: self.rank]]
+        return [list(combine(tk.coeffs, self.series).coeffs) for tk in self.tseries[: self.rank]]
 
     def kernel(self):
         """Basis of the right kernel {x : A x = 0}, one vector per free column."""
@@ -90,22 +93,21 @@ class Echelon:
         """Coordinates x over the input rows, and the first column where x·A != v.
 
         v is a QSeries or a sequence of values.  x matches v on the pivot
-        columns, read from a truncation of v; every column that v and the
-        rows both have is then checked in integer parts, and the first
-        mismatch is returned in place of None.  With no rows the span is {0},
-        checked on every column of v.
+        columns, read from a truncation of v, so it is the combination of T's
+        rows weighted by those values; every column that v and the rows both
+        have is then checked in integer parts, and the first mismatch is
+        returned in place of None.  With no rows the span is {0}, checked on
+        every column of v.
         """
-        x = [Fraction(0)] * len(self.transform)
         if not isinstance(v, QSeries):
             if not len(v):
-                return x, None
+                return [0] * len(self.tseries), None
             v = QSeries(v)
+        if not self.tseries:
+            return [], v.valuation()
         head = v.truncate(min(v.prec, max(self.pivots, default=0))).coeffs
-        for tk, pc in zip(self.transform, self.pivots):
-            y = head[pc]
-            if y:
-                x = [a + y * b if b else a for a, b in zip(x, tk)]
-        m = min(v.prec, self.ncols - 1) if self.transform else v.prec
+        x = list(combine([head[pc] for pc in self.pivots], self.tseries).coeffs)
+        m = min(v.prec, self.ncols - 1)
         if m < 0:
             return x, None
         rest = v.truncate(m) - combine(x, self.series, m)

@@ -77,9 +77,6 @@ class Decomposition:
             "verified_to": self.verified_to,
         }
 
-    def nonzero(self):
-        return [(str(e[0]), c) for e, c in zip(self.basis.elements, self.coefficients) if c != 0]
-
 
 def _derive(expr, i: int):
     """D^i(expr), with D^0(expr) = expr."""

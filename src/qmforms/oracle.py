@@ -85,8 +85,14 @@ def sigma_table(j: int, n_max: int) -> tuple:
     return tuple(t)
 
 
+def _at_least(x: int, low: int, name: str) -> None:
+    if x < low:
+        raise ValueError(f"{name} must be >= {low}, got {x}")
+
+
 def W(N: int, n: int) -> int:
     """Convolution of level N: sum over 0 < m < n/N of sigma1(m) sigma1(n - N m)."""
+    _at_least(N, 1, "N")
     t = sigma_table(1, n)
     total = 0
     m = 1
@@ -97,6 +103,7 @@ def W(N: int, n: int) -> int:
 
 
 def w_range(N: int, n_max: int) -> list[int]:
+    _at_least(N, 1, "N")
     t = sigma_table(1, n_max)
     # m = 1..(n-1)//N pairs t[m] with t[n - N m]; map stops at the shorter slice
     return [0] + [sum(map(mul, t[1 : (n - 1) // N + 1], t[n - N :: -N])) for n in range(1, n_max + 1)]
@@ -124,6 +131,9 @@ def smod_range(a: int, b: int, n_max: int) -> list[int]:
 
 def _pulled(a: int, b: int, N: int, n_max: int) -> list[int]:
     """Sequence m**a * sigma_b(m / N) for m = 0..n_max (zero off multiples)."""
+    _at_least(a, 0, "avec entry")
+    _at_least(b, 0, "bvec entry")
+    _at_least(N, 1, "Nvec entry")
     t = sigma_table(b, n_max // N)
     out = [0] * (n_max + 1)
     for m in range(N, n_max + 1, N):

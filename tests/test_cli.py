@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from qmforms import oracle
 from qmforms.cli import main
 
 
@@ -30,6 +31,40 @@ def test_convolve_smod(capsys):
     code, out = run(capsys, "convolve", "--kind", "Smod", "--a", "1", "--b", "3",
                     "--n", "2")
     assert code == 0 and "= 1" in out
+
+
+LAHIRI = ("--kind", "lahiri", "--avec", "0,1", "--bvec", "1,1", "--Nvec", "2,5")
+
+
+def test_convolve_lahiri_range_matches_the_oracle(capsys):
+    code, out = run(capsys, "convolve", *LAHIRI, "--n", "0:20", "--format", "jsonl")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in rows] == list(range(21))
+    assert [r["value"] for r in rows] == [oracle.lahiri((0, 1), (1, 1), (2, 5), n)
+                                          for n in range(21)]
+    assert all(type(r["value"]) is int for r in rows)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--kind", "lahiri", "--avec", "0,0", "--bvec", "1,-1", "--Nvec", "1,1", "--n", "4"],
+     "bvec entry must be >= 0, got -1"),
+    (["--kind", "lahiri", "--avec=-1,0", "--bvec", "1,1", "--Nvec", "1,1", "--n", "4"],
+     "avec entry must be >= 0, got -1"),
+    (["--kind", "lahiri", "--avec", "0,0", "--bvec", "1,1", "--Nvec=-1,1", "--n", "4"],
+     "Nvec entry must be >= 1, got -1"),
+    (["--kind", "lahiri", "--avec", "0,0", "--bvec", "1,1", "--Nvec", "1,0", "--n", "4"],
+     "Nvec entry must be >= 1, got 0"),
+    (["--kind", "W", "--N", "0", "--n", "4"], "N must be >= 1, got 0"),
+    (["--kind", "W", "--N", "-1", "--n", "4"], "N must be >= 1, got -1"),
+    (["--kind", "W", "--N", "1", "--n=-3"], "n must be >= 0, got -3"),
+    (["--kind", "W", "--N", "1", "--n=-3:4"], "n must be >= 0, got -3:4"),
+    (["--kind", "Smod", "--a", "1", "--b", "3", "--n", "2:-1"], "n must be >= 0, got 2:-1"),
+])
+def test_convolve_rejects_bad_descriptors(capsys, argv, named):
+    assert main(["convolve", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and named in err
 
 
 def test_expand(capsys):
@@ -67,6 +102,16 @@ def test_tables_check(capsys):
     code, out = run(capsys, "tables", "--name", "tau_4_10", "--check", "--prec", "64")
     assert code == 0
     assert "tau_4_10: 22/22 match" in out
+
+
+def test_tables_check_reports_a_mismatch(monkeypatch, capsys):
+    entries = oracle.table_entries("tau_4_10")
+    entries[3] += 1
+    monkeypatch.setattr(oracle, "table_entries", lambda name: dict(entries))
+    code, out = run(capsys, "tables", "--name", "tau_4_10", "--check", "--prec", "64")
+    assert code == 1
+    assert "tau_4_10: 21/22 match" in out
+    assert "MISMATCH [{'n': 3, 'table': '-7', 'computed': '-8'}]" in out
 
 
 def test_verify_pass_and_exit_codes(capsys):

@@ -127,6 +127,19 @@ def test_smod_range_rejects_bad_residue():
         oracle.smod_range(3, 3, 0)
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: oracle.W(0, 4), "N must be >= 1"),
+    (lambda: oracle.w_range(-1, 4), "N must be >= 1"),
+    (lambda: oracle.lahiri((0, 0), (1, -1), (1, 1), 4), "bvec entry"),
+    (lambda: oracle.lahiri_range((-1, 0), (1, 1), (1, 1), 4), "avec entry"),
+    (lambda: oracle.lahiri((0, 0), (1, 1), (1, 0), 4), "Nvec entry"),
+    (lambda: oracle.lahiri_range((0, 0), (1, 1), (-1, 1), 4), "Nvec entry"),
+])
+def test_sweeps_reject_bad_descriptors(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 def test_table_fixture():
     assert oracle.table_fixture("tau_4_7", 19) == -110
     assert oracle.table_fixture("tau_6_10_3", 11) == -768
