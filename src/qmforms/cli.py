@@ -172,9 +172,15 @@ def _parse_vec(s: str):
 
 
 def _cmd_convolve(args, cfg: RunConfig) -> int:
-    lo, hi = (int(x) for x in (args.n.split(":") if ":" in args.n else (args.n, args.n)))
+    parts = args.n.split(":")
+    try:
+        lo, hi = map(int, parts * 2 if len(parts) == 1 else parts)
+    except ValueError:
+        raise UsageError(f"--n must be n or lo:hi, got {args.n!r}") from None
     if min(lo, hi) < 0:
         raise UsageError(f"n must be >= 0, got {args.n}")
+    if lo > hi:
+        raise UsageError(f"--n range is reversed, got {args.n!r}")
     ns = range(lo, hi + 1)
     records = []
     for n in ns:

@@ -19,6 +19,7 @@ from .exactnum import (
     FieldElement,
     QuadExt,
     as_fraction,
+    ext_ints,
     factor_small,
     factorize,
     poly_add,
@@ -361,19 +362,30 @@ def _poly_gcd(a, b):
 
 
 def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) -> bool:
-    """a(mn) = a(m) a(n) for coprime m, n and the Hecke relation at p^2, up to q^bound."""
+    """a(mn) = a(m) a(n) for coprime m, n and the Hecke relation at p^2, up to q^bound.
+
+    Checked on the integer parts a(n) = (x_n + y_n t) / d, times e to clear
+    t^2 = (P t + Q) / e: d (x_k + y_k t) = (x_i + y_i t)(x_j + y_j t) - c d^2.
+    """
     bound = min(f.prec, bound)
+    x, d = f.num, f.den
+    y = f.tnum or (0,) * len(x)
+    e, P, Q = ext_ints(f.ext) if f.tnum else (1, 0, 0)
+
+    def holds(k, i, j, c=0):
+        yy = y[i] * y[j]
+        return (e * d * x[k] == e * (x[i] * x[j] - c * d * d) + Q * yy
+                and e * d * y[k] == e * (x[i] * y[j] + y[i] * x[j]) + P * yy)
+
     for m in range(2, bound + 1):
         for n in range(m, bound // m + 1):
-            if gcd(m, n) != 1:
-                continue
-            if f.coeff(m * n) != f.coeff(m) * f.coeff(n):
+            if gcd(m, n) == 1 and not holds(m * n, m, n):
                 return False
     for p in (2, 3, 5, 7, 11, 13):
         if p * p > bound:
             break
         eps = 0 if level % p == 0 else p ** (weight - 1)
-        if f.coeff(p * p) != f.coeff(p) * f.coeff(p) - eps:
+        if not holds(p * p, p, p, eps):
             return False
     return True
 

@@ -3,27 +3,64 @@
 Matrix entries are ints, Fractions or FieldElements, given as rows that are
 sequences of values or QSeries.  Every elimination in the engine goes through
 one routine, `Echelon`; `rref`, `solve` and `nullspace` are thin entries to
-it.  `Echelon` keeps its transform T as QSeries rows too, so pivot scaling
-and row elimination are series arithmetic on integer parts; values are built
-only where a caller reads them.
+it.  `Echelon` eliminates fraction-free on the rows' integer parts, over Z
+or over Z[u] with u = e*t a root of a monic integer quadratic, and turns
+each row of its transform T into a QSeries once, at the end; values are
+built only where a caller reads them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from math import gcd
+from operator import mul
 
-from .qseries import QSeries, combine
+from .exactnum import ext_ints, join_ext
+from .qseries import QSeries, _make, combine
 
 __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
 
-def _dot(s, col):
-    """sum_j x_j col_j for the vector x held as the series s."""
-    v = sum(x * y for x, y in zip(s.num, col) if x and y)
-    if s.tnum is not None:
-        v += s.ext.gen() * sum(x * y for x, y in zip(s.tnum, col) if x and y)
-    return Fraction(v, s.den) if isinstance(v, int) else v / s.den
+def _at(row, col, P, eQ):
+    """row·col in Z[u], u**2 = P*u + eQ; a vector is a pair of int lists (u-part None if zero)."""
+    (a, b), (x, y) = row, col
+    v0 = sum(map(mul, a, x))
+    v1 = sum(map(mul, a, y)) if y else 0
+    if b:
+        v1 += sum(map(mul, b, x))
+        if y:
+            by = sum(map(mul, b, y))
+            v0, v1 = v0 + eQ * by, v1 + P * by
+    return v0, v1
+
+
+def _times(c, row, P, eQ):
+    """c·row for a scalar c = (c0, c1) and a vector row over Z[u]."""
+    (c0, c1), (a, b) = c, row
+    if not c1:
+        return [c0 * x for x in a], b and [c0 * y for y in b]
+    if not b:
+        return [c0 * x for x in a], [c1 * x for x in a]
+    k1, k2 = eQ * c1, c0 + P * c1
+    return [c0 * x + k1 * y for x, y in zip(a, b)], [c1 * x + k2 * y for x, y in zip(a, b)]
+
+
+def _eliminate(p, row, f, prow, P, eQ):
+    """p·row - f·prow over Z[u], divided by the gcd of its integer entries."""
+    if p[1] or f[1] or row[1] or prow[1]:
+        (a, b), (c, d) = _times(p, row, P, eQ), _times(f, prow, P, eQ)
+        a = [x - y for x, y in zip(a, c)]
+        b = [x - y for x, y in zip(b or repeat(0), d or repeat(0))] if b or d else None
+        b = b if b and any(b) else None
+    else:
+        p, f = p[0], f[0]
+        a, b = [p * x - f * y for x, y in zip(row[0], prow[0])], None
+    g = gcd(*a, *(b or ()))
+    if g > 1:
+        a, b = [x // g for x in a], b and [y // g for y in b]
+    return a, b
 
 
 class Echelon:
@@ -35,9 +72,18 @@ class Echelon:
     reaches it), and the scan stops once every row has a pivot, so a long
     tail of columns costs nothing.  The first `rank` rows of T express the
     nonzero rows of R in the input rows; the rest span the left kernel.
-    Rows of A and of T are held as series (a row of A is given as a QSeries
-    or a sequence), so every product x·A and every row operation on T is a
-    series combination in integer parts.
+
+    The elimination is fraction-free.  With u = e*t, where p = P/e and
+    q = Q/e clear the descriptor to integers, u**2 = P*u + e*Q is monic over
+    Z, and input row j is (e*num_j + tnum_j*u) / (e*den_j): the integer row
+    A'_j over Z[u] (Z over Q) scaled by 1/(e*den_j).  The elimination runs on
+    A' with integer T' rows: each row updates as p*row - f*row_r for the
+    pivot value p and the row's value f, then is divided by the gcd of its
+    entries.  Each row of T' stays a multiple of the matching row of T, so
+    the pivots are the same.  At the end each row is scaled back once: a
+    pivot row by its pivot value (in Z[u] by the conjugate over the norm), a
+    kernel row so that the entry at its own input row is 1, which is what
+    the elimination over values leaves there.
     """
 
     def __init__(self, rows):
@@ -45,26 +91,47 @@ class Echelon:
         n = len(rows)
         self.ncols = 0 if not n else rows[0].prec + 1 if isinstance(rows[0], QSeries) else len(rows[0])
         self.series = [r if isinstance(r, QSeries) else QSeries(r) for r in rows] if self.ncols else []
-        self.source = [s.coeffs for s in self.series]
-        t = [QSeries([0] * i + [1], n - 1) for i in range(n)]
-        pivots = []
+        ext = None
+        for s in self.series:
+            if s.tnum is not None:
+                ext = join_ext(ext, s.ext)
+        e, P, Q = ext_ints(ext) if ext else (1, 0, 0)
+        eQ = e * Q
+        t = [([0] * i + [1] + [0] * (n - 1 - i), None) for i in range(n)]
+        start = list(range(n))  # the input row each row of T' started as
+        pivots, pcols = [], []
         for c in range(self.ncols):
             r = len(pivots)
             if r == n:
                 break
-            col = [a[c] for a in self.source]
-            vals = [_dot(ti, col) for ti in t]
-            pr = next((i for i in range(r, n) if vals[i]), None)
+            cb = ext and [s.tnum[c] if s.tnum else 0 for s in self.series]
+            col = [e * s.num[c] for s in self.series], cb if cb and any(cb) else None
+            vals = [_at(ti, col, P, eQ) for ti in t]
+            pr = next((i for i in range(r, n) if vals[i] != (0, 0)), None)
             if pr is None:
                 continue
             t[r], t[pr] = t[pr], t[r]
+            start[r], start[pr] = start[pr], start[r]
             vals[r], vals[pr] = vals[pr], vals[r]
-            t[r] = t[r] * (1 / vals[r])
             for i, f in enumerate(vals):
-                if i != r and f:
-                    t[i] = t[i] - t[r] * f
+                if i != r and f != (0, 0):
+                    t[i] = _eliminate(vals[r], t[i], f, t[r], P, eQ)
             pivots.append(c)
-        self.tseries = t
+            pcols.append(col)
+        # T = T'·diag(e*den_j), each row scaled once; with no columns T' = I
+        scale = [e * s.den for s in self.series] or [1] * n
+        self.tseries = []
+        for i, (a, b) in enumerate(t):
+            a, b = [x * d for x, d in zip(a, scale)], b and [y * d for y, d in zip(b, scale)]
+            if i < len(pivots):
+                s0, s1 = _at(t[i], pcols[i], P, eQ)
+            else:
+                s0, s1 = a[start[i]], b[start[i]] if b else 0
+            if s1:  # times the conjugate s0 + P*s1 - s1*u, over the norm
+                a, b = _times((s0 + P * s1, -s1), (a, b), P, eQ)
+                s0 = s0 * s0 + P * s0 * s1 - eQ * s1 * s1
+            k = -1 if s0 < 0 else 1  # a positive denominator; a u-part y is the t-part e*y
+            self.tseries.append(_make(n - 1, ext, [k * x for x in a], b and [k * e * y for y in b], k * s0))
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
 

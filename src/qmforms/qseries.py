@@ -346,13 +346,37 @@ class QSeries:
 
 
 def combine(cs, series, prec=None) -> QSeries:
-    """sum c_i * f_i, at precision prec or the smallest of the f_i."""
+    """sum c_i * f_i, at precision prec or the smallest of the f_i.
+
+    One pass per part of each term, over one denominator: with
+    c_i = (x_i + y_i t) / d, f_i = (X_i + Y_i t) / d_i, L the lcm of the d_i
+    and t^2 = (P t + Q) / e, the sum times e d L is
+    sum (L / d_i) (e x_i X_i + Q y_i Y_i + (e y_i X_i + (e x_i + P y_i) Y_i) t).
+    """
     prec = min(f.prec for f in series) if prec is None else prec
-    acc = None
-    for c, f in zip(cs, series):
-        if c:
-            acc = c * f if acc is None else acc + c * f
-    return zero(prec) if acc is None else acc.truncate(prec)
+    terms = [(c, f) for c, f in zip(cs, series) if c]
+    if not terms:
+        return zero(prec)
+    low = min(f.prec for _, f in terms)
+    if not 0 <= prec <= low:
+        raise PrecisionError(f"cannot take precision {prec} from precision {low}")
+    xs, ys, d, ext = split_parts([c for c, _ in terms])
+    ys = ys or [0] * len(xs)
+    for _, f in terms:
+        ext = join_ext(ext, f.ext)
+    e, P, Q = ext_ints(ext) if any(y and f.tnum for y, (_, f) in zip(ys, terms)) else (1, 0, 0)
+    L = lcm(*(f.den for _, f in terms))
+    num, tnum = [0] * (prec + 1), [0] * (prec + 1)
+    for (_, f), x, y in zip(terms, xs, ys):
+        parts = [(num, e * x, f.num), (tnum, e * y, f.num)]
+        if f.tnum:
+            parts += [(num, Q * y, f.tnum), (tnum, e * x + P * y, f.tnum)]
+        k = L // f.den
+        for acc, c, vs in parts:
+            if c:
+                c *= k
+                acc[:] = [s + c * v for s, v in zip(acc, vs)]
+    return _make(prec, ext, num, tnum, e * d * L)
 
 
 def zero(prec: int, ext=None) -> QSeries:

@@ -60,6 +60,9 @@ def test_convolve_lahiri_range_matches_the_oracle(capsys):
     (["--kind", "W", "--N", "1", "--n=-3"], "n must be >= 0, got -3"),
     (["--kind", "W", "--N", "1", "--n=-3:4"], "n must be >= 0, got -3:4"),
     (["--kind", "Smod", "--a", "1", "--b", "3", "--n", "2:-1"], "n must be >= 0, got 2:-1"),
+    (["--kind", "W", "--N", "1", "--n", "5:3"], "--n range is reversed, got '5:3'"),
+    (["--kind", "W", "--N", "1", "--n", "1:2:3"], "--n must be n or lo:hi, got '1:2:3'"),
+    (["--kind", "W", "--N", "1", "--n", "x"], "--n must be n or lo:hi, got 'x'"),
 ])
 def test_convolve_rejects_bad_descriptors(capsys, argv, named):
     assert main(["convolve", *argv]) == 2

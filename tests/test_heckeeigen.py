@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from qmforms import forms, linalg, oracle
-from qmforms.exactnum import QuadExt
+from qmforms.exactnum import FieldElement, QuadExt
 from qmforms.heckeeigen import (
     Registry,
+    _multiplicative_ok,
     extract_newforms,
     hecke_matrix,
     multiplicativity_solve,
 )
 from qmforms.linalg import charpoly
-from qmforms.qseries import PrecisionError
+from qmforms.qseries import PrecisionError, QSeries
 
 P = 128
 
@@ -209,6 +210,24 @@ def test_hecke_multiplicativity_relation(reg):
                                 * nf.series.coeff(m // d) * nf.series.coeff(n // d))
                     d += 1
                 assert nf.series.coeff(m * n) == acc, (label, m, n)
+
+
+def test_multiplicativity_check_on_every_registry_newform(reg512):
+    q6 = QSeries([0] * 6 + [1], 512)
+    for label in reg512.labels():
+        nf = reg512.newform(label)
+        f, k, n = nf.series, nf.weight, nf.level
+        assert _multiplicative_ok(f, k, n), label
+        assert not _multiplicative_ok(f + q6, k, n), label  # a(6) != a(2) a(3)
+        if nf.ext is not None:
+            t = nf.ext.gen()
+            assert not _multiplicative_ok(f + q6 * t, k, n), label
+            # the same form over a descriptor that clears to e = 9: s = t/3
+            ext = QuadExt(nf.ext.p / 3, nf.ext.q / 9)
+            g = QSeries([FieldElement(c.a, 3 * c.b, ext) if isinstance(c, FieldElement) else c
+                         for c in f.coeffs], ext=ext)
+            assert _multiplicative_ok(g, k, n), label
+            assert not _multiplicative_ok(g + q6 * ext.gen(), k, n), label
 
 
 def _gcd(a, b):

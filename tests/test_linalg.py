@@ -11,9 +11,11 @@ from qmforms.linalg import charpoly, nullspace, rref, solve
 from qmforms.qseries import QSeries
 
 EXT = QuadExt(2, 2)  # t^2 = 2t + 2
+EXT3 = QuadExt(Fraction(1, 3), Fraction(5, 2))  # cleared to integers with e = 6
 
 rationals = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
 quadratics = st.builds(lambda a, b: FieldElement(a, b, EXT), rationals, rationals)
+quadratics3 = st.builds(lambda a, b: FieldElement(a, b, EXT3), rationals, rationals)
 
 
 @st.composite
@@ -115,3 +117,86 @@ def test_solve_unique_inconsistent_and_underdetermined():
 def test_nullspace_and_charpoly_of_a_small_matrix():
     assert nullspace([[1, 2], [2, 4]]) == [[-2, 1]]
     assert charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
+
+
+# -- the fraction-free elimination against Gauss-Jordan over values ----------
+
+
+def value_echelon(rows):
+    """(pivots, T) by Gauss-Jordan on Fraction and FieldElement values, same pivot rule."""
+    n = len(rows)
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots = []
+    for c in range(len(rows[0]) if n else 0):
+        r = len(pivots)
+        if r == n:
+            break
+        vals = [sum((x * row[c] for x, row in zip(ti, rows)), Fraction(0)) for ti in t]
+        pr = next((i for i in range(r, n) if vals[i]), None)
+        if pr is None:
+            continue
+        t[r], t[pr], vals[r], vals[pr] = t[pr], t[r], vals[pr], vals[r]
+        t[r] = [x / vals[r] for x in t[r]]
+        for i, f in enumerate(vals):
+            if i != r and f:
+                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        pivots.append(c)
+    return tuple(pivots), t
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Rows over Q, rows over Q(t) with e > 1 and zero rows, then some rows made dependent."""
+    ncols, nrows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kinds = st.sampled_from([rationals, quadratics3, st.just(0)])
+    rows = [draw(st.lists(draw(kinds), min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, nrows - 1))
+        cs = draw(st.lists(st.one_of(st.integers(-2, 2), quadratics3), min_size=nrows,
+                           max_size=nrows))
+        rows[i] = [sum((c * r[j] for k, (c, r) in enumerate(zip(cs, rows)) if k != i), 0)
+                   for j in range(ncols)]
+    return rows
+
+
+def check_against_values(rows):
+    ech = rref(rows)
+    pivots, t = value_echelon(rows)
+    assert (ech.pivots, ech.rank) == (pivots, len(pivots))
+    assert ech.transform == t  # kernel rows included, entry for entry
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_fraction_free_matches_values_over_q(rows):
+    check_against_values(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(quadratics3))
+def test_fraction_free_matches_values_over_a_non_integral_descriptor(rows):
+    check_against_values(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_matrices())
+def test_fraction_free_matches_values_on_mixed_rows(rows):
+    check_against_values(rows)
+
+
+def test_fraction_free_on_a_rank_deficient_mixed_matrix():
+    t = EXT3.gen()
+    a, b = [1, t, Fraction(1, 2), 0], [Fraction(2, 3), 0, 5, t / 7]
+    rows = [[0, 0, 0, 0], a, b, [x * t + y for x, y in zip(a, b)], [2 * y for y in b]]
+    check_against_values(rows)
+    ech = rref(rows)
+    assert (ech.rank, ech.pivots, len(ech.kernel())) == (2, (0, 1), 2)
+
+
+def test_series_rows_build_no_values():
+    t = EXT3.gen()
+    rows = [QSeries([1, t, Fraction(1, 2), 0]), QSeries([Fraction(2, 3), 0, 5, t / 7]),
+            QSeries([3, 1, 1, 1])]
+    ech = rref(rows)
+    assert (ech.rank, len(ech.transform)) == (3, 3)
+    assert all(s._coeffs is None for s in rows)

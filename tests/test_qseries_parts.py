@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmforms.exactnum import FieldElement, FieldMismatch, conj
+from qmforms.exactnum import FieldElement, FieldMismatch, QuadExt, conj
 from qmforms.forms import eisenstein
 from qmforms.linalg import rref
-from qmforms.qseries import PrecisionError, QSeries
-from test_qseries_product import EXT, OTHER, huge_ints, quadratic_coeffs, rational_coeffs, series
+from qmforms.qseries import PrecisionError, QSeries, combine
+from test_qseries_product import (EXT, OTHER, huge_ints, quadratic_coeffs, rational_coeffs, rationals,
+                                  series)
 
 rational_scalars = st.one_of(st.integers(-10**6, 10**6), huge_ints,
                              st.fractions(min_value=-1000, max_value=1000, max_denominator=60))
@@ -116,6 +117,24 @@ def test_different_descriptors_raise():
                lambda: QSeries([FieldElement(0, 1, EXT), FieldElement(0, 1, OTHER)])):
         with pytest.raises(FieldMismatch):
             op()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([EXT, QuadExt(Fraction(1, 3), Fraction(5, 2))]), st.data())
+def test_combinations(ext, data):
+    field = st.one_of(rational_coeffs, st.builds(FieldElement, rationals, rationals, st.just(ext)))
+    fs = data.draw(st.lists(series(field), min_size=1, max_size=5))
+    cs = data.draw(st.lists(st.one_of(st.just(0), rational_scalars, field),
+                            min_size=len(fs), max_size=len(fs)))
+    low = min(f.prec for c, f in zip(cs, fs) if c) if any(cs) else min(f.prec for f in fs)
+    prec = data.draw(st.integers(0, low))
+    got = combine(cs, fs, prec)
+    want = [sum((c * f.coeffs[n] for c, f in zip(cs, fs) if c), 0) for n in range(prec + 1)]
+    assert got.prec == prec and values(got) == want and got == QSeries(want, prec)
+    assert_stored_types(got)
+    if any(cs):
+        with pytest.raises(PrecisionError):
+            combine(cs, fs, low + 1)
 
 
 # -- Echelon.coords on Q(t) rows: the residual check in integer parts ----------
