@@ -23,6 +23,7 @@ __all__ = [
     "as_fraction",
     "join_ext",
     "ext_ints",
+    "scale_parts",
     "split_parts",
     "join_parts",
     "fraction_sqrt",
@@ -220,9 +221,11 @@ class FieldElement:
 
 # -- integer parts ------------------------------------------------------------
 #
-# A vector of values x_i = (a_i + b_i*t) / d is held as int lists a and b over
-# one denominator d > 0, with b None when every t-part is zero.  Series and
-# echelon rows do their arithmetic on these parts.
+# A vector of values x_i = (a_i + b_i*u) / d is held as int lists a and b over
+# one denominator d > 0, b None when every u-part is zero.  Over Q(t), u = e*t
+# for e the least common denominator of p and q, so u**2 = P*u + N with ints
+# P = e*p, N = e*e*q and no arithmetic on parts needs e: only split_parts and
+# join_parts convert between t and u.  Series and echelon rows use these parts.
 
 
 def join_ext(e1, e2):
@@ -234,17 +237,33 @@ def join_ext(e1, e2):
     raise FieldMismatch(f"incompatible descriptors {e1} and {e2}")
 
 
-def ext_ints(ext: QuadExt):
-    """(e, P, Q) with p = P/e and q = Q/e: the descriptor cleared to integers."""
-    e = lcm(ext.p.denominator, ext.q.denominator)
-    return e, ext.p.numerator * (e // ext.p.denominator), ext.q.numerator * (e // ext.q.denominator)
+def _clearing(ext: QuadExt) -> int:
+    """e with u = e*t: the least common denominator of p and q."""
+    return lcm(ext.p.denominator, ext.q.denominator)
+
+
+def ext_ints(ext):
+    """(P, N) with u**2 = P*u + N for u = e*t; (0, 0) over Q (ext None)."""
+    e = ext and _clearing(ext)
+    return (int(e * ext.p), int(e * e * ext.q)) if e else (0, 0)
+
+
+def scale_parts(c, row, P: int, N: int):
+    """c*row over Z[u], u**2 = P*u + N, for c = (c0, c1) and row = (a, b); c1 or b falsy is 0."""
+    (c0, c1), (a, b) = c, row
+    if not c1:
+        return [c0 * x for x in a], b and [c0 * y for y in b]
+    if not b:
+        return [c0 * x for x in a], [c1 * x for x in a]
+    k1, k2 = N * c1, c0 + P * c1
+    return [c0 * x + k1 * y for x, y in zip(a, b)], [c1 * x + k2 * y for x, y in zip(a, b)]
 
 
 def split_parts(xs, ext=None):
     """Integer parts (a, b, d, ext) of the values xs, d the least common denominator.
 
-    ext is joined with the descriptor of every FieldElement.  Raises TypeError
-    on a value that is not an int, Fraction or FieldElement.
+    x + y*t has the parts of x + (y/e)*u.  ext is joined with the descriptor of
+    every FieldElement.  Raises TypeError on a value that is not exact.
     """
     dens, quad = set(), False
     for x in xs:
@@ -254,25 +273,29 @@ def split_parts(xs, ext=None):
             dens.add(x.denominator)
         elif isinstance(x, FieldElement):
             ext = join_ext(ext, x.ext)
-            dens.update((x.a.denominator, x.b.denominator))
+            dens.add(x.a.denominator)
             quad = quad or x.b != 0
         else:
             raise TypeError(f"expected an exact value, got {type(x).__name__}")
     if not dens:
         return list(xs), None, 1, ext
+    if quad:
+        e = _clearing(ext)  # once per call; every descriptor the engine builds has e = 1
+        ys = [(x.b if e == 1 else x.b / e) if isinstance(x, FieldElement) else 0 for x in xs]
+        dens.update(y.denominator for y in ys)
     d = lcm(*dens)
     a = [x.a if isinstance(x, FieldElement) else x for x in xs]
     a = [x.numerator * (d // x.denominator) for x in a]
-    b = ([x.b.numerator * (d // x.b.denominator) if isinstance(x, FieldElement) else 0 for x in xs]
-         if quad else None)
+    b = [y.numerator * (d // y.denominator) for y in ys] if quad else None
     return a, b, d, ext
 
 
 def join_parts(a, b, d: int, ext) -> tuple:
-    """The values (a_i + b_i*t) / d: ints where integral, FieldElements only where b_i != 0."""
+    """The values (a_i + b_i*u) / d: ints where integral, FieldElements only where b_i != 0."""
     if d == 1 and b is None:
         return tuple(a)
-    return tuple(FieldElement(Fraction(x, d), Fraction(y, d), ext) if y else x // d if x % d == 0
+    e = _clearing(ext) if b else 1
+    return tuple(FieldElement(Fraction(x, d), Fraction(e * y, d), ext) if y else x // d if x % d == 0
                  else Fraction(x, d) for x, y in zip(a, b or repeat(0)))
 
 

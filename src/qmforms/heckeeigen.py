@@ -63,7 +63,7 @@ class Newform:
         if n < 1:
             return 0
         if n <= self.series.prec:
-            return self.series.coeff(n)
+            return self.series.coeffs[n]  # callers sweep n: build the values once
         val = 1
         for p, e in factorize(n):
             if p > self.series.prec:
@@ -200,7 +200,7 @@ def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
     parts = []
     for ext, f in _split(space, space.series(), is_old) if space.elements else ():
         v = f.valuation()
-        lead = f.truncate(v).coeff(v)  # f's own value tuple is never needed
+        lead = f.coeff(v)
         parts.append((ext, f if lead == 1 else (Fraction(1) / lead) * f))
     nfs = _label_sorted(parts, space.weight, space.level)
     expected = len(space.elements) - old.rank
@@ -364,18 +364,18 @@ def _poly_gcd(a, b):
 def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) -> bool:
     """a(mn) = a(m) a(n) for coprime m, n and the Hecke relation at p^2, up to q^bound.
 
-    Checked on the integer parts a(n) = (x_n + y_n t) / d, times e to clear
-    t^2 = (P t + Q) / e: d (x_k + y_k t) = (x_i + y_i t)(x_j + y_j t) - c d^2.
+    Checked on the integer parts a(n) = (x_n + y_n u) / d, u^2 = P u + N:
+    d (x_k + y_k u) = (x_i + y_i u)(x_j + y_j u) - c d^2.
     """
     bound = min(f.prec, bound)
     x, d = f.num, f.den
-    y = f.tnum or (0,) * len(x)
-    e, P, Q = ext_ints(f.ext) if f.tnum else (1, 0, 0)
+    y = f.unum or (0,) * len(x)
+    P, N = ext_ints(f.ext)
 
     def holds(k, i, j, c=0):
         yy = y[i] * y[j]
-        return (e * d * x[k] == e * (x[i] * x[j] - c * d * d) + Q * yy
-                and e * d * y[k] == e * (x[i] * y[j] + y[i] * x[j]) + P * yy)
+        return (d * x[k] == x[i] * x[j] - c * d * d + N * yy
+                and d * y[k] == x[i] * y[j] + y[i] * x[j] + P * yy)
 
     for m in range(2, bound + 1):
         for n in range(m, bound // m + 1):

@@ -180,7 +180,7 @@ def rhs_sweep(spec: IdentitySpec, n_max: int, tau) -> QSeries:
 
 def _rational_parts(spec: IdentitySpec, rhs: QSeries, lo: int):
     """(num, den) of the sweep; raises at the first n >= lo with a nonzero t-part."""
-    bad = rhs.tnum and next((n for n in range(lo, rhs.prec + 1) if rhs.tnum[n]), None)
+    bad = rhs.unum and next((n for n in range(lo, rhs.prec + 1) if rhs.unum[n]), None)
     if bad is not None:
         raise IntegrityError(f"{spec.ident}: closed form does not reduce to a rational at n={bad}")
     return rhs.num, rhs.den

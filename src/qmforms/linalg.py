@@ -3,28 +3,28 @@
 Matrix entries are ints, Fractions or FieldElements, given as rows that are
 sequences of values or QSeries.  Every elimination in the engine goes through
 one routine, `Echelon`; `rref`, `solve` and `nullspace` are thin entries to
-it.  `Echelon` eliminates fraction-free on the rows' integer parts, over Z
-or over Z[u] with u = e*t a root of a monic integer quadratic, and turns
-each row of its transform T into a QSeries once, at the end; values are
-built only where a caller reads them.
+it.  `Echelon` eliminates fraction-free on the rows' integer parts as the
+QSeries holds them, over Z or over Z[u] (u**2 = P*u + N, exactnum.ext_ints),
+and turns each row of its transform T into a QSeries once, at the end;
+values are built only where a caller reads them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from math import gcd
 from operator import mul
 
-from .exactnum import ext_ints, join_ext
+from .exactnum import ext_ints, join_ext, scale_parts
 from .qseries import QSeries, _make, combine
 
 __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
 
-def _at(row, col, P, eQ):
-    """row·col in Z[u], u**2 = P*u + eQ; a vector is a pair of int lists (u-part None if zero)."""
+def _at(row, col, P, N):
+    """row·col in Z[u], u**2 = P*u + N; a vector is a pair of int lists (u-part None if zero)."""
     (a, b), (x, y) = row, col
     v0 = sum(map(mul, a, x))
     v1 = sum(map(mul, a, y)) if y else 0
@@ -32,25 +32,14 @@ def _at(row, col, P, eQ):
         v1 += sum(map(mul, b, x))
         if y:
             by = sum(map(mul, b, y))
-            v0, v1 = v0 + eQ * by, v1 + P * by
+            v0, v1 = v0 + N * by, v1 + P * by
     return v0, v1
 
 
-def _times(c, row, P, eQ):
-    """c·row for a scalar c = (c0, c1) and a vector row over Z[u]."""
-    (c0, c1), (a, b) = c, row
-    if not c1:
-        return [c0 * x for x in a], b and [c0 * y for y in b]
-    if not b:
-        return [c0 * x for x in a], [c1 * x for x in a]
-    k1, k2 = eQ * c1, c0 + P * c1
-    return [c0 * x + k1 * y for x, y in zip(a, b)], [c1 * x + k2 * y for x, y in zip(a, b)]
-
-
-def _eliminate(p, row, f, prow, P, eQ):
+def _eliminate(p, row, f, prow, P, N):
     """p·row - f·prow over Z[u], divided by the gcd of its integer entries."""
     if p[1] or f[1] or row[1] or prow[1]:
-        (a, b), (c, d) = _times(p, row, P, eQ), _times(f, prow, P, eQ)
+        (a, b), (c, d) = scale_parts(p, row, P, N), scale_parts(f, prow, P, N)
         a = [x - y for x, y in zip(a, c)]
         b = [x - y for x, y in zip(b or repeat(0), d or repeat(0))] if b or d else None
         b = b if b and any(b) else None
@@ -73,17 +62,15 @@ class Echelon:
     tail of columns costs nothing.  The first `rank` rows of T express the
     nonzero rows of R in the input rows; the rest span the left kernel.
 
-    The elimination is fraction-free.  With u = e*t, where p = P/e and
-    q = Q/e clear the descriptor to integers, u**2 = P*u + e*Q is monic over
-    Z, and input row j is (e*num_j + tnum_j*u) / (e*den_j): the integer row
-    A'_j over Z[u] (Z over Q) scaled by 1/(e*den_j).  The elimination runs on
-    A' with integer T' rows: each row updates as p*row - f*row_r for the
-    pivot value p and the row's value f, then is divided by the gcd of its
-    entries.  Each row of T' stays a multiple of the matching row of T, so
-    the pivots are the same.  At the end each row is scaled back once: a
-    pivot row by its pivot value (in Z[u] by the conjugate over the norm), a
-    kernel row so that the entry at its own input row is 1, which is what
-    the elimination over values leaves there.
+    The elimination is fraction-free.  Input row j, the QSeries
+    (num_j + unum_j*u) / den_j, is the integer row A'_j over Z[u] (Z over Q)
+    scaled by 1/den_j, read as stored.  It runs on A' with integer T' rows:
+    each row updates as p*row - f*row_r for the pivot value p and the row's
+    value f, then is divided by the gcd of its entries.  Each row of T' stays
+    a multiple of the matching row of T, so the pivots are the same.  At the
+    end each row is scaled back once: a pivot row by its pivot value (in Z[u]
+    by the conjugate over the norm), a kernel row so that the entry at its
+    own input row is 1, as the elimination over values leaves it.
     """
 
     def __init__(self, rows):
@@ -91,12 +78,8 @@ class Echelon:
         n = len(rows)
         self.ncols = 0 if not n else rows[0].prec + 1 if isinstance(rows[0], QSeries) else len(rows[0])
         self.series = [r if isinstance(r, QSeries) else QSeries(r) for r in rows] if self.ncols else []
-        ext = None
-        for s in self.series:
-            if s.tnum is not None:
-                ext = join_ext(ext, s.ext)
-        e, P, Q = ext_ints(ext) if ext else (1, 0, 0)
-        eQ = e * Q
+        ext = reduce(join_ext, (s.ext for s in self.series if s.unum), None)
+        P, N = ext_ints(ext)
         t = [([0] * i + [1] + [0] * (n - 1 - i), None) for i in range(n)]
         start = list(range(n))  # the input row each row of T' started as
         pivots, pcols = [], []
@@ -104,9 +87,9 @@ class Echelon:
             r = len(pivots)
             if r == n:
                 break
-            cb = ext and [s.tnum[c] if s.tnum else 0 for s in self.series]
-            col = [e * s.num[c] for s in self.series], cb if cb and any(cb) else None
-            vals = [_at(ti, col, P, eQ) for ti in t]
+            cb = ext and [s.unum[c] if s.unum else 0 for s in self.series]
+            col = [s.num[c] for s in self.series], cb if cb and any(cb) else None
+            vals = [_at(ti, col, P, N) for ti in t]
             pr = next((i for i in range(r, n) if vals[i] != (0, 0)), None)
             if pr is None:
                 continue
@@ -115,25 +98,23 @@ class Echelon:
             vals[r], vals[pr] = vals[pr], vals[r]
             for i, f in enumerate(vals):
                 if i != r and f != (0, 0):
-                    t[i] = _eliminate(vals[r], t[i], f, t[r], P, eQ)
+                    t[i] = _eliminate(vals[r], t[i], f, t[r], P, N)
             pivots.append(c)
             pcols.append(col)
-        # T = T'·diag(e*den_j), each row scaled once; with no columns T' = I
-        scale = [e * s.den for s in self.series] or [1] * n
+        # T = T'·diag(den_j), each row scaled once; with no columns T' = I
+        scale = [s.den for s in self.series] or [1] * n
         self.tseries = []
         for i, (a, b) in enumerate(t):
             a, b = [x * d for x, d in zip(a, scale)], b and [y * d for y, d in zip(b, scale)]
             if i < len(pivots):
-                s0, s1 = _at(t[i], pcols[i], P, eQ)
+                s0, s1 = _at(t[i], pcols[i], P, N)
             else:
                 s0, s1 = a[start[i]], b[start[i]] if b else 0
             if s1:  # times the conjugate s0 + P*s1 - s1*u, over the norm
-                a, b = _times((s0 + P * s1, -s1), (a, b), P, eQ)
-                s0 = s0 * s0 + P * s0 * s1 - eQ * s1 * s1
-            k = -1 if s0 < 0 else 1  # a positive denominator; a u-part y is the t-part e*y
-            self.tseries.append(_make(n - 1, ext, [k * x for x in a], b and [k * e * y for y in b], k * s0))
-        self.pivots = tuple(pivots)
-        self.rank = len(pivots)
+                a, b = scale_parts((s0 + P * s1, -s1), (a, b), P, N)
+                s0 = s0 * s0 + P * s0 * s1 - N * s1 * s1
+            self.tseries.append(_make(n - 1, ext, a, b, s0))
+        self.pivots, self.rank = tuple(pivots), len(pivots)
 
     @cached_property
     def transform(self):

@@ -74,8 +74,7 @@ def sigma(j: int, n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def sigma_table(j: int, n_max: int) -> tuple:
+def _sieve(j: int, n_max: int) -> tuple:
     """sigma_j(0..n_max) as a tuple, by divisor sieve."""
     t = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
@@ -83,6 +82,10 @@ def sigma_table(j: int, n_max: int) -> tuple:
         for m in range(d, n_max + 1, d):
             t[m] += dj
     return tuple(t)
+
+
+# reused by the sweeps and the engine; per-n W, S_mod and lahiri sieve their own: a table per n piles up
+sigma_table = lru_cache(maxsize=None)(_sieve)
 
 
 def _at_least(x: int, low: int, name: str) -> None:
@@ -93,7 +96,7 @@ def _at_least(x: int, low: int, name: str) -> None:
 def W(N: int, n: int) -> int:
     """Convolution of level N: sum over 0 < m < n/N of sigma1(m) sigma1(n - N m)."""
     _at_least(N, 1, "N")
-    t = sigma_table(1, n)
+    t = _sieve(1, n)
     total = 0
     m = 1
     while N * m < n:
@@ -113,7 +116,7 @@ def S_mod(a: int, b: int, n: int) -> int:
     """Sum of sigma1(m) sigma1(n-m) over 0 <= m <= n with m = a mod b."""
     if not 0 <= a < b:
         raise ValueError("require 0 <= a < b")
-    t = sigma_table(1, n)
+    t = _sieve(1, n)
     total = 0
     for m in range(a, n + 1, b):
         if 1 <= m <= n - 1:
@@ -129,12 +132,12 @@ def smod_range(a: int, b: int, n_max: int) -> list[int]:
     return [0] + [sum(map(mul, t[m0:n:b], t[n - m0 :: -b])) for n in range(1, n_max + 1)]
 
 
-def _pulled(a: int, b: int, N: int, n_max: int) -> list[int]:
-    """Sequence m**a * sigma_b(m / N) for m = 0..n_max (zero off multiples)."""
+def _pulled(a: int, b: int, N: int, n_max: int, table=sigma_table) -> list[int]:
+    """Sequence m**a * sigma_b(m / N) for m = 0..n_max (zero off multiples), sigma_b from `table`."""
     _at_least(a, 0, "avec entry")
     _at_least(b, 0, "bvec entry")
     _at_least(N, 1, "Nvec entry")
-    t = sigma_table(b, n_max // N)
+    t = table(b, n_max // N)
     out = [0] * (n_max + 1)
     for m in range(N, n_max + 1, N):
         out[m] = m**a * t[m // N]
@@ -151,7 +154,7 @@ def lahiri(avec, bvec, nvec, n: int) -> int:
     r = len(avec)
     if not (r == len(bvec) == len(nvec)) or r < 1:
         raise ValueError("mismatched descriptor lengths")
-    tables = [_pulled(a, b, N, n) for a, b, N in zip(avec, bvec, nvec)]
+    tables = [_pulled(a, b, N, n, _sieve) for a, b, N in zip(avec, bvec, nvec)]
 
     def rec(i: int, rest: int, acc: int) -> int:
         if i == r - 1:

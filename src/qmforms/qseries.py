@@ -1,24 +1,28 @@
 """Truncated formal power series in q with exact coefficients.
 
 A QSeries holds the coefficients of q^0 .. q^prec in one normal form: the
-coefficient of q^n is (num[n] + tnum[n]*t) / den with int numerators, one
-positive int denominator coprime to the numerators as a whole, and t the
-generator of the quadratic descriptor ext (None over Q).  tnum is None when
-every t-part is zero.  Every ring operation is integer vector arithmetic on
-these parts; a product is one big-int multiply (three over Q(t)).  `coeffs`
-builds the values once, on first read: ints where integral, Fractions
-otherwise, FieldElements only where the t-part is nonzero.  Reads beyond the
+coefficient of q^n is (num[n] + unum[n]*u) / den with int numerators, one
+positive int denominator coprime to the numerators as a whole, and u = e*t
+the integral generator of the quadratic descriptor ext (None over Q), with
+u**2 = P*u + N for the ints (P, N) = exactnum.ext_ints(ext).  unum is None
+when every u-part is zero.  Every ring operation is integer vector
+arithmetic on these parts; a product is one big-int multiply (three over
+Q(t)).  `coeffs` builds the values once, on first read: ints where
+integral, Fractions otherwise, FieldElements only where the u-part is
+nonzero; `coeff(n)` builds only its own value until then.  Reads beyond the
 stored precision raise, they never return zero silently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .exactnum import FieldElement, ext_ints, factorize, format_element, join_ext, join_parts, split_parts
+from .exactnum import (FieldElement, ext_ints, factorize, format_element, join_ext, join_parts, scale_parts,
+                       split_parts)
 
 __all__ = ["PrecisionError", "QSeries", "combine", "zero", "one", "eta_quotient", "rc_bracket1",
            "series_str"]
@@ -73,14 +77,14 @@ def _unit_power(f, a: int, b: int) -> list:
     return c
 
 
-def _make(prec, ext, num, tnum=None, den=1) -> "QSeries":
+def _make(prec, ext, num, unum=None, den=1) -> "QSeries":
     s = object.__new__(QSeries)
-    s._set(prec, ext, num, tnum, den)
+    s._set(prec, ext, num, unum, den)
     return s
 
 
 class QSeries:
-    __slots__ = ("prec", "ext", "num", "tnum", "den", "_coeffs")
+    __slots__ = ("prec", "ext", "num", "unum", "den", "_coeffs")
 
     def __init__(self, coeffs, prec=None, ext=None):
         coeffs = list(coeffs)
@@ -90,20 +94,20 @@ class QSeries:
             raise ValueError("precision must be >= 0")
         if len(coeffs) > prec + 1:
             raise ValueError("more coefficients than the declared precision")
-        num, tnum, den, ext = split_parts(coeffs, ext)
+        num, unum, den, ext = split_parts(coeffs, ext)
         pad = [0] * (prec + 1 - len(coeffs))
-        self._set(prec, ext, num + pad, None if tnum is None else tnum + pad, den)
+        self._set(prec, ext, num + pad, None if unum is None else unum + pad, den)
 
-    def _set(self, prec, ext, num, tnum, den):
-        """Store (num + tnum*t) / den in normal form."""
-        if tnum is not None and not any(tnum):
-            tnum = None
+    def _set(self, prec, ext, num, unum, den):
+        """Store (num + unum*u) / den in normal form, den made positive."""
+        if unum is not None and not any(unum):
+            unum = None
         if den != 1:
-            g = gcd(den, *num, *(tnum or ()))
+            g = gcd(den, *num, *(unum or ())) * (-1 if den < 0 else 1)
             if g != 1:
-                num, tnum, den = [x // g for x in num], tnum and [x // g for x in tnum], den // g
+                num, unum, den = [x // g for x in num], unum and [x // g for x in unum], den // g
         self.prec, self.ext, self.num, self.den, self._coeffs = prec, ext, tuple(num), den, None
-        self.tnum = tnum and tuple(tnum)
+        self.unum = unum and tuple(unum)
 
     # -- access -----------------------------------------------------------
 
@@ -111,7 +115,7 @@ class QSeries:
     def coeffs(self) -> tuple:
         """The coefficients as values, built on first read."""
         if self._coeffs is None:
-            self._coeffs = join_parts(self.num, self.tnum, self.den, self.ext)
+            self._coeffs = join_parts(self.num, self.unum, self.den, self.ext)
         return self._coeffs
 
     def coeff(self, n: int):
@@ -119,7 +123,9 @@ class QSeries:
             return 0
         if n > self.prec:
             raise PrecisionError(f"coefficient {n} beyond precision {self.prec}")
-        return self.coeffs[n]
+        if self._coeffs is None:  # one value, read from the parts
+            return join_parts((self.num[n],), self.unum and (self.unum[n],), self.den, self.ext)[0]
+        return self._coeffs[n]
 
     def coeff_list(self, upto=None):
         upto = self.prec if upto is None else upto
@@ -127,8 +133,8 @@ class QSeries:
 
     def valuation(self):
         """Exponent of the first nonzero coefficient, or None for zero."""
-        t = self.tnum
-        return next((n for n, c in enumerate(self.num) if c or (t and t[n])), None)
+        u = self.unum
+        return next((n for n, c in enumerate(self.num) if c or (u and u[n])), None)
 
     def is_zero(self) -> bool:
         return self.valuation() is None
@@ -140,8 +146,8 @@ class QSeries:
             raise ValueError("precision must be >= 0")
         if prec == self.prec:
             return self
-        t = self.tnum
-        return _make(prec, self.ext, self.num[: prec + 1], t and t[: prec + 1], self.den)
+        u = self.unum
+        return _make(prec, self.ext, self.num[: prec + 1], u and u[: prec + 1], self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -155,13 +161,13 @@ class QSeries:
         den = lcm(self.den, other.den)
         m1, m2 = den // self.den, sign * den // other.den
         n = min(self.prec, other.prec) + 1
-        t1, t2 = self.tnum, other.tnum
+        u1, u2 = self.unum, other.unum
 
         def lin(xs, ys):
             return [m1 * x + m2 * y for x, y in zip(xs[:n], ys[:n])]
 
-        tnum = lin(t1 or (0,) * n, t2 or (0,) * n) if t1 or t2 else None
-        return _make(n - 1, ext, lin(self.num, other.num), tnum, den)
+        unum = lin(u1 or (0,) * n, u2 or (0,) * n) if u1 or u2 else None
+        return _make(n - 1, ext, lin(self.num, other.num), unum, den)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -172,29 +178,18 @@ class QSeries:
         return self._add(other, -1)
 
     def __neg__(self):
-        t = self.tnum
-        return _make(self.prec, self.ext, [-x for x in self.num], t and [-y for y in t], self.den)
+        u = self.unum
+        return _make(self.prec, self.ext, [-x for x in self.num], u and [-y for y in u], self.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def _scale(self, c) -> "QSeries":
         """c * self for one exact scalar c."""
-        if not c:
-            return zero(self.prec, self.ext)
         (ca,), cb, cd, cext = split_parts((c,))
         ext = join_ext(self.ext, cext)
-        a, b, den = self.num, self.tnum, self.den * cd
-        if cb is None:
-            return _make(self.prec, ext, [ca * x for x in a], b and [ca * y for y in b], den)
-        (cb,) = cb
-        if b is None:
-            return _make(self.prec, ext, [ca * x for x in a], [cb * x for x in a], den)
-        # (ca + cb t)(x + y t) = ca x + cb q y + (ca y + cb x + cb p y) t, with p = P/e, q = Q/e
-        e, P, Q = ext_ints(ext)
-        k1, k2, k3, k4 = e * ca, Q * cb, e * ca + P * cb, e * cb
-        return _make(self.prec, ext, [k1 * x + k2 * y for x, y in zip(a, b)],
-                     [k3 * y + k4 * x for x, y in zip(a, b)], den * e)
+        a, b = scale_parts((ca, cb and cb[0]), (self.num, self.unum), *ext_ints(ext))
+        return _make(self.prec, ext, a, b, self.den * cd)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -204,7 +199,7 @@ class QSeries:
         p = min(self.prec, other.prec)
         ext = join_ext(self.ext, other.ext)
         a1, a2 = self.num[: p + 1], other.num[: p + 1]
-        b1, b2 = self.tnum, other.tnum
+        b1, b2 = self.unum, other.unum
         b1, b2 = b1 and b1[: p + 1], b2 and b2[: p + 1]
         den = self.den * other.den
         aa = _int_product(a1, a2)
@@ -212,13 +207,13 @@ class QSeries:
             return _make(p, ext, aa, None, den)
         if b1 is None or b2 is None:
             return _make(p, ext, aa, _int_product(a1, b2) if b1 is None else _int_product(b1, a2), den)
-        # (a1 + b1 t)(a2 + b2 t) with t^2 = p t + q = (P t + Q)/e, from three int products
+        # (a1 + b1 u)(a2 + b2 u) with u^2 = P u + N, from three int products
         bb = _int_product(b1, b2)
         s1 = [x + y for x, y in zip(a1, b1)]
         ss = _int_product(s1, s1 if a2 is a1 and b2 is b1 else [x + y for x, y in zip(a2, b2)])
-        e, P, Q = ext_ints(ext)
-        return _make(p, ext, [e * x + Q * y for x, y in zip(aa, bb)],
-                     [e * (z - x - y) + P * y for x, y, z in zip(aa, bb, ss)], den * e)
+        P, N = ext_ints(ext)
+        return _make(p, ext, [x + N * y for x, y in zip(aa, bb)],
+                     [z - x - y + P * y for x, y, z in zip(aa, bb, ss)], den)
 
     __rmul__ = __mul__
 
@@ -226,27 +221,26 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.prec == other.prec and self.den == other.den and self.num == other.num
-                and self.tnum == other.tnum and (self.tnum is None or self.ext == other.ext))
+                and self.unum == other.unum and (self.unum is None or self.ext == other.ext))
 
     def __hash__(self):
-        return hash((self.prec, self.den, self.num, self.tnum))
+        return hash((self.prec, self.den, self.num, self.unum))
 
     # -- operators of the calculus -------------------------------------------
 
     def pointwise(self, ws) -> "QSeries":
         """Multiply the coefficient of q^n by the integer ws[n]."""
-        t = self.tnum
+        u = self.unum
         return _make(self.prec, self.ext, [w * x for w, x in zip(ws, self.num)],
-                     t and [w * y for w, y in zip(ws, t)], self.den)
+                     u and [w * y for w, y in zip(ws, u)], self.den)
 
     def conj(self) -> "QSeries":
-        """Apply the quadratic conjugation t -> p - t to every coefficient."""
-        if self.tnum is None:
+        """Apply the quadratic conjugation t -> p - t, so u -> P - u, to every coefficient."""
+        if self.unum is None:
             return self
-        # a + b t -> (a + b p) - b t, with p = P/e
-        e, P, _ = ext_ints(self.ext)
-        return _make(self.prec, self.ext, [e * x + P * y for x, y in zip(self.num, self.tnum)],
-                     [-e * y for y in self.tnum], self.den * e)
+        P, _ = ext_ints(self.ext)
+        return _make(self.prec, self.ext, [x + P * y for x, y in zip(self.num, self.unum)],
+                     [-y for y in self.unum], self.den)
 
     def rescale(self, d: int, prec: int | None = None) -> "QSeries":
         """Substitute q -> q**d; precision grows to prec*d, or stops at `prec`."""
@@ -261,8 +255,8 @@ class QSeries:
             out[::d] = xs[: p // d + 1]
             return out
 
-        t = self.tnum
-        return _make(p, self.ext, spread(self.num), t and spread(t), self.den)
+        u = self.unum
+        return _make(p, self.ext, spread(self.num), u and spread(u), self.den)
 
     def derive(self, i: int = 1) -> "QSeries":
         """Apply (q d/dq)**i: coefficient n picks up a factor n**i."""
@@ -324,8 +318,8 @@ class QSeries:
                     out[m] += pk * xs[m // p]
             return out
 
-        t = self.tnum
-        return _make(newp, self.ext, image(self.num), t and image(t), self.den)
+        u = self.unum
+        return _make(newp, self.ext, image(self.num), u and image(u), self.den)
 
     def __repr__(self):
         head = series_str(self, upto=min(self.prec, 6))
@@ -349,9 +343,9 @@ def combine(cs, series, prec=None) -> QSeries:
     """sum c_i * f_i, at precision prec or the smallest of the f_i.
 
     One pass per part of each term, over one denominator: with
-    c_i = (x_i + y_i t) / d, f_i = (X_i + Y_i t) / d_i, L the lcm of the d_i
-    and t^2 = (P t + Q) / e, the sum times e d L is
-    sum (L / d_i) (e x_i X_i + Q y_i Y_i + (e y_i X_i + (e x_i + P y_i) Y_i) t).
+    c_i = (x_i + y_i u) / d, f_i = (X_i + Y_i u) / d_i, L the lcm of the d_i
+    and u^2 = P u + N, the sum times d L is
+    sum (L / d_i) (x_i X_i + N y_i Y_i + (y_i X_i + (x_i + P y_i) Y_i) u).
     """
     prec = min(f.prec for f in series) if prec is None else prec
     terms = [(c, f) for c, f in zip(cs, series) if c]
@@ -362,21 +356,20 @@ def combine(cs, series, prec=None) -> QSeries:
         raise PrecisionError(f"cannot take precision {prec} from precision {low}")
     xs, ys, d, ext = split_parts([c for c, _ in terms])
     ys = ys or [0] * len(xs)
-    for _, f in terms:
-        ext = join_ext(ext, f.ext)
-    e, P, Q = ext_ints(ext) if any(y and f.tnum for y, (_, f) in zip(ys, terms)) else (1, 0, 0)
+    ext = reduce(join_ext, (f.ext for _, f in terms), ext)
+    P, N = ext_ints(ext)
     L = lcm(*(f.den for _, f in terms))
-    num, tnum = [0] * (prec + 1), [0] * (prec + 1)
+    num, unum = [0] * (prec + 1), [0] * (prec + 1)
     for (_, f), x, y in zip(terms, xs, ys):
-        parts = [(num, e * x, f.num), (tnum, e * y, f.num)]
-        if f.tnum:
-            parts += [(num, Q * y, f.tnum), (tnum, e * x + P * y, f.tnum)]
+        parts = [(num, x, f.num), (unum, y, f.num)]
+        if f.unum:
+            parts += [(num, N * y, f.unum), (unum, x + P * y, f.unum)]
         k = L // f.den
         for acc, c, vs in parts:
             if c:
                 c *= k
                 acc[:] = [s + c * v for s, v in zip(acc, vs)]
-    return _make(prec, ext, num, tnum, e * d * L)
+    return _make(prec, ext, num, unum, d * L)
 
 
 def zero(prec: int, ext=None) -> QSeries:

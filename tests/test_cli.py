@@ -46,6 +46,19 @@ def test_convolve_lahiri_range_matches_the_oracle(capsys):
     assert all(type(r["value"]) is int for r in rows)
 
 
+@pytest.mark.parametrize("argv, sweep", [
+    (["--kind", "W", "--N", "2"], lambda: oracle.w_range(2, 200)),
+    (["--kind", "Smod", "--a", "1", "--b", "3"], lambda: oracle.smod_range(1, 3, 200)),
+    (list(LAHIRI), lambda: oracle.lahiri_range((0, 1), (1, 1), (2, 5), 200)),
+])
+def test_convolve_keeps_no_table_per_n(capsys, argv, sweep):
+    oracle.sigma_table.cache_clear()
+    code, out = run(capsys, "convolve", *argv, "--n", "1:200", "--format", "jsonl")
+    assert code == 0
+    assert oracle.sigma_table.cache_info().currsize == 0
+    assert [json.loads(line)["value"] for line in out.splitlines()] == sweep()[1:]
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--kind", "lahiri", "--avec", "0,0", "--bvec", "1,-1", "--Nvec", "1,1", "--n", "4"],
      "bvec entry must be >= 0, got -1"),

@@ -15,13 +15,13 @@ from qmforms.exactnum import FieldElement, FieldMismatch, QuadExt, conj
 from qmforms.forms import eisenstein
 from qmforms.linalg import rref
 from qmforms.qseries import PrecisionError, QSeries, combine
-from test_qseries_product import (EXT, OTHER, huge_ints, quadratic_coeffs, rational_coeffs, rationals,
-                                  series)
+from test_qseries_product import (EXT, EXTS, OTHER, SIXTH, huge_ints, quadratic_coeffs, rational_coeffs,
+                                  rationals, series)
 
 rational_scalars = st.one_of(st.integers(-10**6, 10**6), huge_ints,
                              st.fractions(min_value=-1000, max_value=1000, max_denominator=60))
 scalars = st.one_of(rational_scalars,
-                    st.builds(FieldElement, rational_scalars, rational_scalars, st.just(EXT)))
+                    st.builds(FieldElement, rational_scalars, rational_scalars, EXTS))
 any_series = st.one_of(series(rational_coeffs), series(quadratic_coeffs))
 
 
@@ -50,7 +50,7 @@ def assert_matches(got: QSeries, want: list, prec: int, ext):
 @settings(max_examples=120, deadline=None)
 @given(any_series, scalars)
 def test_scalar_multiples(f, c):
-    ext = EXT if isinstance(c, FieldElement) else f.ext
+    ext = c.ext if isinstance(c, FieldElement) else f.ext
     want = [c * x for x in f.coeffs]
     assert_matches(c * f, want, f.prec, f.ext if not c else ext)
     assert_matches(f * c, want, f.prec, f.ext if not c else ext)
@@ -106,8 +106,21 @@ def test_rational_series_equal_their_quadratic_copies(f):
 
 def test_integral_rational_series_read_their_numerators():
     f = eisenstein(4, 1, 64)
-    assert f.den == 1 and f.tnum is None
+    assert f.den == 1 and f.unum is None
     assert f.coeffs is f.num
+
+
+@pytest.mark.parametrize("cs", [
+    [3, Fraction(-5, 4), 0, 10**40, Fraction(7, 2)],
+    [1, FieldElement(Fraction(1, 2), Fraction(-2, 3), SIXTH), Fraction(1, 6), FieldElement(2, 0, SIXTH),
+     FieldElement(0, 5, SIXTH), FieldElement(Fraction(-1, 4), 7, SIXTH) * FieldElement(3, 1, SIXTH)],
+])
+def test_coeff_reads_one_value_from_the_parts(cs):
+    f = QSeries(cs, len(cs) + 1)
+    got = [f.coeff(n) for n in range(f.prec + 1)]
+    assert f._coeffs is None
+    assert got == list(f.coeffs)
+    assert [type(c) for c in got] == [type(c) for c in f.coeffs]
 
 
 def test_different_descriptors_raise():

@@ -36,6 +36,9 @@ def assert_same_product(f: QSeries, g: QSeries):
 
 EXT = QuadExt(1, 3)    # t^2 = t + 3
 OTHER = QuadExt(0, 5)  # t^2 = 5
+SIXTH = QuadExt(Fraction(1, 3), Fraction(5, 2))  # e = 6: u = 6t, u^2 = 2u + 90
+# one descriptor per example, shared by every quadratic value drawn in it
+EXTS = st.shared(st.sampled_from([EXT, SIXTH]), key="ext")
 
 small_ints = st.integers(-10**6, 10**6)
 huge_ints = st.integers(10**40 - 10**6, 10**40 + 10**6) | st.integers(-10**40 - 10**6, -10**40 + 10**6)
@@ -44,8 +47,8 @@ integral_fractions = small_ints.map(Fraction)
 rational_coeffs = st.one_of(st.just(0), small_ints, huge_ints, rationals, integral_fractions)
 quadratic_coeffs = st.one_of(
     rational_coeffs,
-    st.builds(FieldElement, rationals, rationals, st.just(EXT)),
-    st.builds(FieldElement, small_ints, st.just(0), st.just(EXT)),
+    st.builds(FieldElement, rationals, rationals, EXTS),
+    st.builds(FieldElement, small_ints, st.just(0), EXTS),
 )
 
 
