@@ -23,6 +23,8 @@ class UsageError(Exception):
 
 # the least working precision; expand takes a lower value as its output precision
 MIN_PREC = 64
+# the argument parser: built by the first main() call, reused by every later one
+_parser = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def _cmd_basis(args, cfg: RunConfig) -> int:
         records.append({
             "pivot": piv,
             "expr": str(expr),
-            "coeffs": [format_element(c) for c in series.coeff_list(min(12, series.prec))],
+            "coeffs": series.strings(min(12, series.prec)),
         })
     name = f"{'S' if args.cuspidal else 'M'}_{args.weight}(Gamma0({args.level}))"
     if cfg.fmt == "human":
@@ -337,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser.parse_args(argv)
         cfg = _config(args)
         return args.fn(args, cfg)
     except IntegrityError as exc:

@@ -33,6 +33,7 @@ __all__ = [
     "factorize",
     "factor_small",
     "format_element",
+    "format_parts",
     "parse_element",
     "poly_trim",
     "poly_degree",
@@ -487,18 +488,28 @@ def factor_small(coeffs, max_degree: int = 5):
 # -- serialization -----------------------------------------------------------
 #
 # Field elements print as "a" or "a+b*t@(p,q)" with each part a lowest-terms
-# fraction "num/den" (integers drop the "/den").
+# fraction "num/den" (integers drop the "/den").  format_parts writes these
+# strings straight from integer parts, one gcd per part, and is the only
+# formatter: format_element splits its one value into parts first.
 
 _FRAC = r"-?\d+(?:/\d+)?"
 _ELEM_RE = re.compile(rf"^({_FRAC})\+({_FRAC})\*t@\(({_FRAC}),({_FRAC})\)$")
 
 
+def format_parts(num, unum, den: int, ext) -> list[str]:
+    """The strings of the values (num[i] + unum[i]*u) / den; the t-part is e*unum[i]/den."""
+    def frac(x):
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+    if not unum:
+        return list(map(str if den == 1 else frac, num))
+    e, tail = _clearing(ext), f"*t@{ext}"
+    return [f"{frac(x)}+{frac(e * y)}{tail}" if y else frac(x) for x, y in zip(num, unum)]
+
+
 def format_element(x) -> str:
-    if isinstance(x, FieldElement):
-        if x.b == 0:
-            return _fmt_frac(x.a)
-        return f"{_fmt_frac(x.a)}+{_fmt_frac(x.b)}*t@{x.ext}"
-    return _fmt_frac(x)
+    return format_parts(*split_parts((x,)))[0]
 
 
 def parse_element(s: str):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 from typing import Callable, NamedTuple
 
 from . import linalg, oracle
@@ -34,7 +35,7 @@ from .characters import (
     twisted_level,
 )
 from .exactnum import factorize, format_element
-from .qseries import QSeries, eta_quotient, one, rc_bracket1
+from .qseries import QSeries, _make, eta_quotient, one, rc_bracket1
 
 __all__ = [
     "DEFAULT_PREC",
@@ -225,34 +226,34 @@ def call(name: str, *args) -> FormExpr:
 # basic series
 
 
+def _eisenstein_parts(scale: Fraction, terms, prec: int, const: int = 1) -> QSeries:
+    """const + scale * sum over (c, n, vals) of c * sum_{m>=1} vals[m] q^(n m).
+
+    Built in integer parts: with scale = a/b, num[0] = const*b and num[n*m] += a*c*vals[m] over b.
+    """
+    if prec < 0:
+        raise ValueError("precision must be >= 0")
+    a, b = scale.numerator, scale.denominator
+    num = [const * b] + [0] * prec
+    for c, n, vals in terms:
+        num[n::n] = map(add, num[n::n], [a * c * v for v in vals[1 : prec // n + 1]])
+    return _make(prec, None, num, None, b)
+
+
 def eisenstein(k: int, n: int = 1, prec: int = DEFAULT_PREC) -> QSeries:
     """E_k(n z) = 1 - (2k/B_k) sum sigma_{k-1}(m) q^{nm}."""
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be even and >= 2, got {k}")
     scale = -Fraction(2 * k) / bernoulli(k)
-    sig = oracle.sigma_table(k - 1, prec // n)
-    cs = [0] * (prec + 1)
-    cs[n::n] = sig[1 : prec // n + 1]
-    return scale * QSeries(cs, prec) + 1
+    return _eisenstein_parts(scale, [(1, n, oracle.sigma_table(k - 1, prec // n))], prec)
 
 
 def phi(a: int, b: int, prec: int = DEFAULT_PREC) -> QSeries:
     """The weight-2 form (b E_2(bz) - a E_2(az)) / (b - a) for a | b, a < b."""
     if not (1 <= a < b and b % a == 0):
         raise ValueError(f"phi requires 1 <= a < b with a | b, got ({a},{b})")
-    siga = oracle.sigma_table(1, prec // a)
-    sigb = oracle.sigma_table(1, prec // b)
-    den = b - a
-    cs = [0] * (prec + 1)
-    cs[0] = den
-    for m in range(1, prec + 1):
-        s = 0
-        if m % b == 0:
-            s -= 24 * b * sigb[m // b]
-        if m % a == 0:
-            s += 24 * a * siga[m // a]
-        cs[m] = s
-    return Fraction(1, den) * QSeries(cs, prec)
+    sig = oracle.sigma_table(1, prec // a)
+    return _eisenstein_parts(Fraction(24, b - a), [(a, a, sig), (-b, b, sig)], prec)
 
 
 def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t: int = 1,
@@ -274,10 +275,8 @@ def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t:
     bk = gen_bernoulli(chi, k)
     if bk == 0:
         raise ValueError("vanishing generalized Bernoulli number")
-    scale = -Fraction(2 * k) / bk
-    cs = [0] * (prec + 1)
-    cs[t::t] = sigma_twisted_table(psi, chi, k - 1, prec // t)[1:]
-    return scale * QSeries(cs, prec) + (1 if psi.is_trivial() else 0)
+    vals = sigma_twisted_table(psi, chi, k - 1, prec // t)
+    return _eisenstein_parts(-Fraction(2 * k) / bk, [(1, t, vals)], prec, int(psi.is_trivial()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .exactnum import (FieldElement, ext_ints, factorize, format_element, join_ext, join_parts, scale_parts,
+from .exactnum import (FieldElement, ext_ints, factorize, format_parts, join_ext, join_parts, scale_parts,
                        split_parts)
 
 __all__ = ["PrecisionError", "QSeries", "combine", "zero", "one", "eta_quotient", "rc_bracket1",
@@ -130,6 +130,10 @@ class QSeries:
     def coeff_list(self, upto=None):
         upto = self.prec if upto is None else upto
         return [self.coeff(n) for n in range(upto + 1)]
+
+    def strings(self, upto: int) -> list[str]:
+        """The coefficients of q^0 .. q^upto as exactnum strings, written from the parts."""
+        return format_parts(self.num[: upto + 1], self.unum and self.unum[: upto + 1], self.den, self.ext)
 
     def valuation(self):
         """Exponent of the first nonzero coefficient, or None for zero."""
@@ -330,13 +334,8 @@ class QSeries:
         return series_str(self)
 
     def to_record(self, expr: str = "") -> dict:
-        field = str(self.ext) if self.ext is not None else "Q"
-        return {
-            "expr": expr,
-            "prec": self.prec,
-            "field": field,
-            "coeffs": [format_element(c) for c in self.coeffs],
-        }
+        return {"expr": expr, "prec": self.prec, "field": str(self.ext or "Q"),
+                "coeffs": self.strings(self.prec)}
 
 
 def combine(cs, series, prec=None) -> QSeries:
@@ -433,19 +432,7 @@ def rc_bracket1(f: QSeries, k_f: int, g: QSeries, k_g: int) -> QSeries:
 
 
 def series_str(f: QSeries, upto=None) -> str:
-    upto = f.prec if upto is None else upto
-    parts = []
-    for n in range(min(upto, f.prec) + 1):
-        c = f.coeffs[n]
-        if not c and n > 0:
-            continue
-        cs = format_element(c)
-        if n == 0:
-            parts.append(cs)
-        elif n == 1:
-            parts.append(f"{cs}*q")
-        else:
-            parts.append(f"{cs}*q^{n}")
-    field = str(f.ext) if f.ext is not None else "Q"
-    body = " + ".join(parts) if parts else "0"
-    return f"{body} (prec {f.prec}, field {field})"
+    strs = f.strings(f.prec if upto is None else min(upto, f.prec))
+    parts = [s if n == 0 else f"{s}*q" if n == 1 else f"{s}*q^{n}"
+             for n, s in enumerate(strs) if n == 0 or s != "0"]
+    return f"{' + '.join(parts) or '0'} (prec {f.prec}, field {f.ext or 'Q'})"

@@ -256,3 +256,40 @@ def test_precision_flag_wins_over_the_config_key(tmp_path, capsys):
                  "--prec", "64"]) == 0
     assert main(["--config", str(cfg), "expand", "E(4)", "--prec", "3"]) == 0
     assert "(prec 3, field Q)" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_without_leaking_state(monkeypatch, capsys):
+    from qmforms import cli
+
+    calls = [
+        ["expand", "E(2)+"],                                                # a bad expression
+        ["frobnicate", "E(2)"],                                             # an unknown subcommand
+        ["expand", "E(2)*E(2,3)", "--format", "jsonl", "--prec", "8"],
+        ["expand", "E(2)*E(2,3)"],                                          # human, default precision
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(outcome(argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [outcome(argv) for argv in calls] == fresh
+    assert len(built) == 1
+
+    (bad, _, bad_err), (unknown, _, unknown_err), (jl, jl_out, _), (human, human_out, _) = fresh
+    assert bad == 2 and "unexpected end of input" in bad_err
+    assert unknown == ("SystemExit", 2) and "frobnicate" in unknown_err
+    assert jl == 0 and json.loads(jl_out)["prec"] == 8
+    prec = cli.RunConfig().precision
+    assert human == 0 and human_out.startswith("E(2)*E(2,3) = 1 + -24*q + -72*q^2 + ")
+    assert human_out.endswith(f"*q^{prec} (prec {prec}, field Q)\n")

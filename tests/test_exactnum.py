@@ -13,6 +13,8 @@ from qmforms.exactnum import (
     conj,
     factor_small,
     format_element,
+    format_parts,
+    join_parts,
     norm,
     parse_element,
     poly_divmod,
@@ -166,3 +168,67 @@ def test_serialization_examples():
     assert format_element(Fraction(5, 12)) == "5/12"
     x = FieldElement(2, -1, EXT_T)
     assert format_element(x) == "2+-1*t@(2,2)"
+
+
+# -- one formatter: format_parts on integer parts ----------------------------
+
+SIXTH = QuadExt(Fraction(1, 3), Fraction(5, 2))  # u = 6t
+part_ints = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
+
+
+@st.composite
+def integer_parts(draw):
+    """(num, unum, den, ext): over Q with den 1 or den > 1, or over Q(t), zeros and negatives included."""
+    ext = draw(st.sampled_from([None, QuadExt(1, 3), SIXTH]))
+    n = draw(st.integers(0, 12))
+    num = draw(st.lists(part_ints, min_size=n, max_size=n))
+    unum = None if ext is None else draw(st.lists(st.one_of(st.just(0), part_ints), min_size=n, max_size=n))
+    den = draw(st.one_of(st.just(1), st.integers(2, 10**6), st.integers(2, 10**30)))
+    return num, unum, den, ext
+
+
+def value_str(x) -> str:
+    """Each value's string from its Fraction parts, as the printed form is specified."""
+    def frac(y):
+        y = Fraction(y)
+        return str(y.numerator) if y.denominator == 1 else f"{y.numerator}/{y.denominator}"
+
+    if isinstance(x, FieldElement) and x.b != 0:
+        return f"{frac(x.a)}+{frac(x.b)}*t@({frac(x.ext.p)},{frac(x.ext.q)})"
+    return frac(x.a if isinstance(x, FieldElement) else x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_parts())
+def test_format_parts_is_format_element_of_the_values(parts):
+    vals = join_parts(*parts)
+    got = format_parts(*parts)
+    assert got == [format_element(v) for v in vals]
+    assert got == [value_str(v) for v in vals]
+    assert [parse_element(s) for s in got] == list(vals)
+
+
+def test_format_parts_examples():
+    assert format_parts([3, -4, 0, 6], None, 6, None) == ["1/2", "-2/3", "0", "1"]
+    assert format_parts([1, 0, 2], [0, 1, -1], 2, QuadExt(1, 3)) == ["1/2", "0+1/2*t@(1,3)", "1+-1/2*t@(1,3)"]
+    # u = 6t, so (1 + u)/4 is 1/4 + 3/2 t
+    assert format_parts([1], [1], 4, SIXTH) == ["1/4+3/2*t@(1/3,5/2)"]
+
+
+def test_series_str_is_unchanged(reg):
+    from qmforms.qseries import series_str, zero
+
+    def reference(f, upto):
+        terms = [(n, value_str(c)) for n, c in enumerate(f.coeffs[: upto + 1]) if c or n == 0]
+        body = " + ".join(s if n == 0 else f"{s}*q" if n == 1 else f"{s}*q^{n}" for n, s in terms)
+        return f"{body} (prec {f.prec}, field {f.ext or 'Q'})"
+
+    f = reg.newform("4.11.1").series
+    assert series_str(f, upto=6) == ("0 + 1*q + 2+-1*t@(2,2)*q^2 + -5+4*t@(2,2)*q^3 + -2+-2*t@(2,2)*q^4"
+                                     " + 9+-8*t@(2,2)*q^5 + -18+5*t@(2,2)*q^6 (prec 128, field (2,2))")
+    for g in (f, Fraction(5, 6) * f, fe(Fraction(1, 2), Fraction(1, 3), EXT_T) * f,
+              reg.newform("8.5.2").series):
+        assert series_str(g) == reference(g, g.prec)
+        assert g.to_record()["coeffs"] == [value_str(c) for c in g.coeffs]
+    assert series_str(zero(5)) == "0 (prec 5, field Q)"
+    assert series_str(zero(0)) == "0 (prec 0, field Q)"
