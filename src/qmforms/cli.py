@@ -115,8 +115,10 @@ def _cmd_expand(args, cfg: RunConfig) -> int:
     series = forms.evaluate(expr, max(MIN_PREC, cfg.precision))
     if cfg.precision < series.prec:
         series = series.truncate(cfg.precision)
-    rec = series.to_record(str(expr))
-    _emit([rec], cfg, lambda r: f"{r['expr']} = {series_str(series)}")
+    if cfg.fmt == "human":  # series_str formats the coefficients; a record would do it twice
+        print(f"{expr} = {series_str(series)}")
+    else:
+        _emit([series.to_record(str(expr))], cfg, None)
     return 0
 
 

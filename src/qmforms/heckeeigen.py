@@ -404,13 +404,33 @@ def _new_dimension(weight: int, level: int) -> int:
     )
 
 
+class _TauLookup:
+    """Registry.tau: eigenform coefficients by table-style name, e.g. tau_4_11_2.
+
+    tau(name, n) is the coefficient at n; tau.series(name) is the stored
+    expansion, for callers that sweep n.
+    """
+
+    def __init__(self, reg: "Registry"):
+        self._reg = reg
+
+    def newform(self, name: str) -> Newform:
+        return self._reg.newform(Registry.tau_label(name))
+
+    def __call__(self, name: str, n: int):
+        return self.newform(name).coefficient(n)
+
+    def series(self, name: str) -> QSeries:
+        return self.newform(name).series
+
+
 class Registry:
     """Cache of the newforms of every space with a cusp pool."""
 
     def __init__(self, prec: int = forms.DEFAULT_PREC):
         self.prec = prec
         self._spaces: dict = {}
-        self._tau: dict = {}
+        self.tau = _TauLookup(self)
 
     def space_newforms(self, weight: int, level: int) -> list[Newform]:
         key = (weight, level)
@@ -441,13 +461,6 @@ class Registry:
     def labels(self) -> list[str]:
         return sorted(f"{k}.{n}.{i + 1}" for k, n in forms._CUSP_POOLS
                       for i in range(_new_dimension(k, n)))
-
-    def tau(self, name: str, n: int):
-        """Coefficient lookup by table-style name, e.g. tau_4_11_2."""
-        nf = self._tau.get(name)
-        if nf is None:
-            nf = self._tau[name] = self.newform(self.tau_label(name))
-        return nf.coefficient(n)
 
     @staticmethod
     def tau_label(name: str) -> str:

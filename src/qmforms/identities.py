@@ -18,7 +18,7 @@ from importlib import resources
 from . import oracle
 from .characters import quadratic_character, twist
 from .exactnum import FieldElement, IntegrityError, QuadExt
-from .qseries import QSeries, combine
+from .qseries import QSeries, _make, combine
 
 __all__ = [
     "RHSTerm",
@@ -156,25 +156,51 @@ def get_identity(ident: str) -> IdentitySpec:
 # evaluation
 
 
+def _tau_term(term: RHSTerm, n_max: int, tau) -> QSeries:
+    """tau(label, m) at n = d*m for m = 1..n_max // d, sliced from the eigenform's integer parts.
+
+    Only the m above the stored precision go through the per-m lookup.
+    """
+    d, top = term.d, n_max // term.d
+    f = tau.series(term.label)
+    k = min(top, f.prec)
+
+    def spread(xs):
+        out = [0] * (n_max + 1)
+        out[d : k * d + 1 : d] = xs[1 : k + 1]
+        return out
+
+    s = _make(n_max, f.ext, spread(f.num), f.unum and spread(f.unum), f.den)
+    if top > k:
+        vec = [0] * (n_max + 1)
+        vec[(k + 1) * d :: d] = [tau(term.label, m) for m in range(k + 1, top + 1)]
+        s = s + QSeries(vec, ext=f.ext)
+    return s
+
+
 def _term_series(term: RHSTerm, n_max: int, tau) -> QSeries:
     """One closed-form term without its coefficient, for n = 0..n_max."""
+    if term.kind == "tau":
+        return _tau_term(term, n_max, tau).derive(term.npow)
     vec = [0] * (n_max + 1)
     if term.kind == "delta_sigma":
         b, a = term.delta
         vec[a % b :: b] = oracle.sigma_table(1, n_max)[a % b :: b]
-        return QSeries(vec)
-    if term.kind == "tau":
-        vec[term.d :: term.d] = [tau(term.label, m) for m in range(1, n_max // term.d + 1)]
-    else:
-        vec[:: term.t] = oracle.sigma_table(term.j, n_max)[: n_max // term.t + 1]
-    f = QSeries(vec).derive(term.npow)
+        return _make(n_max, None, vec)
+    vec[:: term.t] = oracle.sigma_table(term.j, n_max)[: n_max // term.t + 1]
+    f = _make(n_max, None, vec).derive(term.npow)
     if term.kind == "chi_sigma":
         f = twist(f, quadratic_character(term.chi))
     return f
 
 
 def rhs_sweep(spec: IdentitySpec, n_max: int, tau) -> QSeries:
-    """The closed form at n = 0..n_max as one series (0 at n = 0), possibly over Q(t)."""
+    """The closed form at n = 0..n_max as one series (0 at n = 0), possibly over Q(t).
+
+    tau is a registry's eigenform lookup, `Registry.tau`.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     return combine([t.coeff for t in spec.rhs], [_term_series(t, n_max, tau) for t in spec.rhs], n_max)
 
 

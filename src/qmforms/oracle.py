@@ -1,14 +1,17 @@
 """Brute-force evaluation of divisor-sum convolutions, plus golden table data.
 
 Everything here is plain integer arithmetic, independent of the series
-machinery; it serves as ground truth for identity verification.
+machinery; it serves as ground truth for identity verification.  The per-n
+references `W`, `S_mod` and `lahiri` enumerate their sums directly.  The
+range sweeps `w_range`, `smod_range` and `lahiri_range` compute every n at
+once, one Kronecker product (`_convolve`) per pairwise convolution.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from operator import mul
+from itertools import repeat
 
 from .exactnum import parse_element
 
@@ -93,6 +96,28 @@ def _at_least(x: int, low: int, name: str) -> None:
         raise ValueError(f"{name} must be >= {low}, got {x}")
 
 
+def _convolve(xs, ys) -> list[int]:
+    """First len(xs) coefficients of the product of two nonnegative int sequences.
+
+    Kronecker substitution: each sequence is packed into one int, one w-bit
+    digit per term, so a single big-int multiply does the whole convolution.
+    Each of the first n coefficients is a sum of at most n terms, so with
+    2**w > max(xs) * max(ys) * n none of them carries into the next digit.
+    """
+    n = len(xs)
+    ys = ys[:n]
+    bound = max(xs, default=0) * max(ys, default=0) * n
+    if not bound:
+        return [0] * n
+    nb = (bound.bit_length() + 7) // 8  # digit bytes: 2**(8*nb) > bound >= every x and y
+
+    def pack(cs):
+        return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(nb), repeat("little"))), "little")
+
+    raw = (pack(xs) * pack(ys)).to_bytes(nb * (n + len(ys)), "little")
+    return [int.from_bytes(raw[i : i + nb], "little") for i in range(0, nb * n, nb)]
+
+
 def W(N: int, n: int) -> int:
     """Convolution of level N: sum over 0 < m < n/N of sigma1(m) sigma1(n - N m)."""
     _at_least(N, 1, "N")
@@ -108,8 +133,9 @@ def W(N: int, n: int) -> int:
 def w_range(N: int, n_max: int) -> list[int]:
     _at_least(N, 1, "N")
     t = sigma_table(1, n_max)
-    # m = 1..(n-1)//N pairs t[m] with t[n - N m]; map stops at the shorter slice
-    return [0] + [sum(map(mul, t[1 : (n - 1) // N + 1], t[n - N :: -N])) for n in range(1, n_max + 1)]
+    spread = [0] * (n_max + 1)  # sigma1(m) at n = N m
+    spread[::N] = t[: n_max // N + 1]
+    return _convolve(t, spread)
 
 
 def S_mod(a: int, b: int, n: int) -> int:
@@ -128,8 +154,9 @@ def smod_range(a: int, b: int, n_max: int) -> list[int]:
     if not 0 <= a < b:
         raise ValueError("require 0 <= a < b")
     t = sigma_table(1, n_max)
-    m0 = a or b  # the first m >= 1 with m = a mod b
-    return [0] + [sum(map(mul, t[m0:n:b], t[n - m0 :: -b])) for n in range(1, n_max + 1)]
+    cls = [0] * (n_max + 1)  # sigma1(m) on m = a mod b only
+    cls[a::b] = t[a::b]
+    return _convolve(cls, t)
 
 
 def _pulled(a: int, b: int, N: int, n_max: int, table=sigma_table) -> list[int]:
@@ -178,10 +205,7 @@ def lahiri_range(avec, bvec, nvec, n_max: int) -> list[int]:
         raise ValueError("mismatched descriptor lengths")
     acc = _pulled(avec[0], bvec[0], nvec[0], n_max)
     for a, b, N in zip(avec[1:], bvec[1:], nvec[1:]):
-        nxt = _pulled(a, b, N, n_max)
-        # the next part m2 runs over the multiples of N; acc[0] is 0
-        acc = [0] * min(N, n_max + 1) + [sum(map(mul, nxt[N : n + 1 : N], acc[n - N :: -N]))
-                                         for n in range(N, n_max + 1)]
+        acc = _convolve(acc, _pulled(a, b, N, n_max))
     return acc
 
 

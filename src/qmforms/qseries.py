@@ -191,7 +191,9 @@ class QSeries:
     def _scale(self, c) -> "QSeries":
         """c * self for one exact scalar c."""
         (ca,), cb, cd, cext = split_parts((c,))
-        ext = join_ext(self.ext, cext)
+        ext = join_ext(self.ext, cext)  # a clashing descriptor raises even for c = 0
+        if not c:
+            return zero(self.prec, self.ext)
         a, b = scale_parts((ca, cb and cb[0]), (self.num, self.unum), *ext_ints(ext))
         return _make(self.prec, ext, a, b, self.den * cd)
 

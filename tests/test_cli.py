@@ -5,6 +5,7 @@ import pytest
 
 from qmforms import oracle
 from qmforms.cli import main
+from qmforms.qseries import QSeries
 
 
 def run(capsys, *argv):
@@ -94,6 +95,18 @@ def test_expand_jsonl_roundtrip(capsys):
     rec = json.loads(out)
     assert rec["coeffs"] == ["1", "6", "18", "24", "42"]
     assert rec["field"] == "Q"
+
+
+def test_expand_formats_the_coefficients_once(capsys, monkeypatch):
+    calls = []
+    to_record = QSeries.to_record
+    monkeypatch.setattr(QSeries, "to_record", lambda self, *a: calls.append(1) or to_record(self, *a))
+    code, out = run(capsys, "expand", "E(2)*phi(1,5)", "--prec", "5")
+    assert (code, len(calls)) == (0, 0)
+    assert out == "E(2)*phi(1,5) = 1 + -18*q + -198*q^2 + -936*q^3 + -2574*q^4 + -5610*q^5 (prec 5, field Q)\n"
+    code, out = run(capsys, "expand", "E(2)*phi(1,5)", "--prec", "5", "--format", "jsonl")
+    assert (code, len(calls)) == (0, 1)
+    assert json.loads(out)["coeffs"] == ["1", "-18", "-198", "-936", "-2574", "-5610"]
 
 
 def test_basis(capsys):

@@ -205,6 +205,15 @@ def test_verify_matches_per_n_reference_on_corrupted_variants(reg):
     assert raised == 3 * 3  # w11, w13 and absum.a5b lose a conjugate term (n_max 1, 37, 60)
 
 
+def test_tau_terms_beyond_the_stored_precision(reg):
+    # reg stores q^0..q^128: tau at m = 129 = 3*43 and 130 = 2*5*13 is extended multiplicatively
+    specs = [spec for spec in idn.catalog() if any(t.kind == "tau" and t.d == 1 for t in spec.rhs)]
+    assert len(specs) > 1 and reg.prec == 128
+    for spec in specs:
+        sweep = idn.rhs_sweep(spec, 130, reg.tau)
+        assert [F(x, sweep.den) for x in sweep.num[120:]] == [reference_rhs(spec, n, reg.tau) for n in range(120, 131)]
+
+
 def test_verify_below_the_bound_matches_reference(reg):
     for spec in idn.catalog():
         assert idn.verify(spec, 37, reg.tau) == reference_verify(spec, 37, reg.tau)

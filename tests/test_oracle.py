@@ -1,5 +1,8 @@
+import ast
+import inspect
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmforms import identities, oracle
@@ -120,6 +123,46 @@ descriptors = st.integers(1, 4).flatmap(lambda r: st.tuples(
 def test_lahiri_range_matches_lahiri(desc, n_max):
     want = [oracle.lahiri(*desc, n) for n in range(n_max + 1)]
     assert oracle.lahiri_range(*desc, n_max) == want
+
+
+def schoolbook(xs, ys):
+    return [sum(xs[i] * ys[n - i] for i in range(n + 1) if n - i < len(ys)) for n in range(len(xs))]
+
+
+nonnegative = st.lists(st.one_of(st.integers(0, 9), st.integers(10**40 - 10**6, 10**40 + 10**6)),
+                       min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonnegative, nonnegative)
+@example([7], [3])
+@example([0] * 5, [4, 5])
+@example([2, 3], [0] * 9)
+@example([10**40] * 3, [10**40 - 1] * 7)
+def test_convolve_matches_schoolbook(xs, ys):
+    assert oracle._convolve(xs, ys) == schoolbook(xs, ys)
+
+
+def test_sweeps_match_per_n_references_at_large_n():
+    for N in range(1, 15):
+        assert oracle.w_range(N, 400) == [0] + [oracle.W(N, n) for n in range(1, 401)], N
+    for a in range(3):
+        assert oracle.smod_range(a, 3, 400) == [0] + [oracle.S_mod(a, 3, n) for n in range(1, 401)], a
+    pair = ((1, 0), (3, 1), (2, 3))
+    assert oracle.lahiri_range(*pair, 300) == [oracle.lahiri(*pair, n) for n in range(301)]
+    quint = ((0, 0, 0, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
+    assert oracle.lahiri_range(*quint, 40) == [oracle.lahiri(*quint, n) for n in range(41)]
+
+
+def test_oracle_imports_nothing_from_the_engine_but_the_parser():
+    tree = ast.parse(inspect.getsource(oracle))
+    engine = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            engine.update(a.name for a in node.names if a.name.split(".")[0] == "qmforms")
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "qmforms"):
+            engine.update(f"{node.module}.{a.name}" for a in node.names)
+    assert engine == {"exactnum.parse_element"}
 
 
 def test_smod_range_rejects_bad_residue():

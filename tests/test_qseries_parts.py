@@ -8,7 +8,7 @@ near 10**40 and with mixed denominators.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmforms.exactnum import FieldElement, FieldMismatch, QuadExt, conj
@@ -49,6 +49,7 @@ def assert_matches(got: QSeries, want: list, prec: int, ext):
 
 @settings(max_examples=120, deadline=None)
 @given(any_series, scalars)
+@example(QSeries([0]), FieldElement(0, 0, EXT))  # a zero scalar over Q(t) keeps f over Q
 def test_scalar_multiples(f, c):
     ext = c.ext if isinstance(c, FieldElement) else f.ext
     want = [c * x for x in f.coeffs]
@@ -127,6 +128,7 @@ def test_different_descriptors_raise():
     f = QSeries([1, FieldElement(1, 2, EXT)], 1)
     g = QSeries([FieldElement(0, 1, OTHER), 3], 1)
     for op in (lambda: f + g, lambda: f - g, lambda: f * g, lambda: FieldElement(1, 1, OTHER) * f,
+               lambda: FieldElement(0, 0, OTHER) * f,
                lambda: QSeries([FieldElement(0, 1, EXT), FieldElement(0, 1, OTHER)])):
         with pytest.raises(FieldMismatch):
             op()
