@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import forms, identities, linearize, oracle
 from .exactnum import IntegrityError, format_element
-from .heckeeigen import Registry
+from .heckeeigen import registry
 from .qseries import series_str
 
 
@@ -140,7 +140,7 @@ def _cmd_basis(args, cfg: RunConfig) -> int:
 
 
 def _cmd_newforms(args, cfg: RunConfig) -> int:
-    reg = Registry(cfg.precision)
+    reg = registry(cfg.precision)
     nfs = reg.space_newforms(args.weight, args.level)
     records = [nf.to_record() for nf in nfs]
     for r in records:
@@ -218,7 +218,7 @@ def _cmd_tables(args, cfg: RunConfig) -> int:
         names = oracle.table_names()
     exit_code = 0
     records = []
-    reg = Registry(cfg.precision) if args.check else None
+    reg = registry(cfg.precision) if args.check else None
     for name in names:
         entries = oracle.table_entries(name)
         if args.check:
@@ -257,7 +257,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     else:
         raise UsageError("verify needs --id or --all")
     needed = max(cfg.n_max or 0, max(s.nmax for s in specs))
-    reg = Registry(max(cfg.precision, needed))
+    reg = registry(max(cfg.precision, needed))
     records = []
     failed = False
     for spec in specs:

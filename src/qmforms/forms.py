@@ -6,7 +6,9 @@ and the handful of derived constructions (rescalings, products, a cube root,
 one Rankin-Cohen bracket, Hecke images) the identity engine needs.  The
 language's functions are one table, `_FUNCTIONS`; `call` builds an
 expression of any of them.  The catalog names some forms; generator pools
-are lists of texts, and every series is built by `evaluate`.  Space
+are lists of texts, and every series is built by `evaluate`.  Catalog
+forms, the other pool texts, generator pools and space bases are each built
+once per precision and stored (`lru_cache`, keyed by value).  Space
 dimensions are pinned in a table and every generator pool is rank-checked
 against it when echelonized.
 """
@@ -597,7 +599,8 @@ def dimension(weight: int, level: int, cuspidal: bool = False) -> int:
 # Generator pools are lists of texts.  The pool of a full space is its
 # Eisenstein prefix followed by a tail, by default the cusp pool.  _build
 # makes a catalog label with named_form and nf_k_N_i from the registry's i-th
-# newform of S_k(N); any other text is parsed and evaluated.
+# newform of S_k(N); any other text is parsed and evaluated once per precision
+# by _text_form, so every level's pool shares E(4,2), phi(1,2) and the rest.
 
 # the weight-2 Eisenstein prefixes; other weights use E(k,d) for d | N
 _WEIGHT2_PREFIX = {
@@ -673,23 +676,32 @@ def _pool_texts(weight: int, level: int, cuspidal: bool, tails: dict) -> list[st
     return prefix + (tail if tail is not None else _cusp_texts(weight, level))
 
 
-def _build(texts, prec: int, registry=None):
-    """(expression, series) of each generator text, at the given precision."""
+def _build(texts, prec: int, newform_prec: int | None = None):
+    """(expression, series) of each generator text, at the given precision.
+
+    A newform nf_k_N_i comes from heckeeigen.registry(newform_prec), by
+    default at prec.
+    """
     out = []
     for text in texts:
         if text in _CATALOG:
             out.append(named_form(text, prec))
         elif text.startswith("nf_"):
-            if registry is None:
-                from .heckeeigen import registry as _registry
+            from .heckeeigen import registry
 
-                registry = _registry(prec)
             k, n, i = (int(x) for x in text.split("_")[1:])
-            out.append((_mk("named", (text,), k, 0, n), registry.newform(f"{k}.{n}.{i}").series))
+            nf = registry(prec if newform_prec is None else newform_prec).newform(f"{k}.{n}.{i}")
+            out.append((_mk("named", (text,), k, 0, n), nf.series))
         else:
-            expr = parse_expr(text)
-            out.append((expr, evaluate(expr, prec)))
+            out.append(_text_form(text, prec))
     return out
+
+
+@lru_cache(maxsize=None)
+def _text_form(text: str, prec: int):
+    """A pool text that is not a catalog label, parsed and evaluated once per precision."""
+    expr = parse_expr(text)
+    return expr, evaluate(expr, prec)
 
 
 @dataclass(frozen=True)
@@ -730,7 +742,7 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     pool = _build(_pool_texts(weight, level, cuspidal, _SPANNING_TAILS), prec)
     what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
     p = min((s.prec for _, s in pool), default=0)
-    ech = linalg.rref([s.truncate(p) for _, s in pool])
+    ech = linalg.rref([s for _, s in pool], p)
     if ech.rank < dim:
         raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
     if ech.rank > dim:
@@ -742,15 +754,26 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
 
 
 def generator_pool(weight: int, level: int, cuspidal: bool = False,
-                   prec: int = DEFAULT_PREC, registry=None):
+                   prec: int = DEFAULT_PREC, registry=None) -> tuple:
     """Generator lists in their catalog order, newforms included.
 
     This is the presentation basis used for reporting decompositions; it is
-    rank-checked against the dimension table but not echelonized.
+    rank-checked against the dimension table but not echelonized.  Only the
+    registry's precision is read: newforms come from heckeeigen.registry at
+    that precision.  The pool is stored per (weight, level, cuspidal,
+    precision, newform precision) and every call returns the same tuple.
     """
-    pool = _build(_pool_texts(weight, level, cuspidal, _PRESENTATION_TAILS), prec, registry)
+    return _pool(weight, level, cuspidal, prec, prec if registry is None else registry.prec)
+
+
+@lru_cache(maxsize=None)
+def _pool(weight: int, level: int, cuspidal: bool, prec: int, newform_prec: int) -> tuple:
+    pool = _build(_pool_texts(weight, level, cuspidal, _PRESENTATION_TAILS), prec, newform_prec)
     dim = dimension(weight, level, cuspidal)
     if len(pool) != dim:
         # pools are exact bases here, not just spanning sets
         raise ValueError(f"pool size {len(pool)} != dimension {dim}")
-    return pool
+    return tuple(pool)
+
+
+generator_pool.cache_info = _pool.cache_info

@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 
 from .exactnum import ext_ints, join_ext, scale_parts
-from .qseries import QSeries, _make, combine
+from .qseries import PrecisionError, QSeries, _make, combine
 
 __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
@@ -61,6 +61,8 @@ class Echelon:
     reaches it), and the scan stops once every row has a pivot, so a long
     tail of columns costs nothing.  The first `rank` rows of T express the
     nonzero rows of R in the input rows; the rest span the left kernel.
+    Given `prec`, the columns are 0..prec of rows that may be longer; rows
+    are kept as given, never truncated copies.
 
     The elimination is fraction-free.  Input row j, the QSeries
     (num_j + unum_j*u) / den_j, is the integer row A'_j over Z[u] (Z over Q)
@@ -73,11 +75,15 @@ class Echelon:
     own input row is 1, as the elimination over values leaves it.
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, prec=None):
         rows = list(rows)
         n = len(rows)
-        self.ncols = 0 if not n else rows[0].prec + 1 if isinstance(rows[0], QSeries) else len(rows[0])
+        if prec is None:
+            prec = -1 if not n else rows[0].prec if isinstance(rows[0], QSeries) else len(rows[0]) - 1
+        self.ncols = prec + 1
         self.series = [r if isinstance(r, QSeries) else QSeries(r) for r in rows] if self.ncols else []
+        if self.series and prec > min(s.prec for s in self.series):
+            raise PrecisionError(f"cannot take columns 0..{prec} of a row of smaller precision")
         ext = reduce(join_ext, (s.ext for s in self.series if s.unum), None)
         P, N = ext_ints(ext)
         t = [([0] * i + [1] + [0] * (n - 1 - i), None) for i in range(n)]
@@ -124,7 +130,8 @@ class Echelon:
     @cached_property
     def rows(self):
         """The nonzero rows of R."""
-        return [list(combine(tk.coeffs, self.series).coeffs) for tk in self.tseries[: self.rank]]
+        return [list(combine(tk.coeffs, self.series, self.ncols - 1).coeffs)
+                for tk in self.tseries[: self.rank]]
 
     def kernel(self):
         """Basis of the right kernel {x : A x = 0}, one vector per free column."""
@@ -162,9 +169,9 @@ class Echelon:
         return x, rest.valuation()
 
 
-def rref(rows) -> Echelon:
-    """The reduced row echelon form of a list of rows."""
-    return Echelon(rows)
+def rref(rows, prec=None) -> Echelon:
+    """The reduced row echelon form of a list of rows, on columns 0..prec if given."""
+    return Echelon(rows, prec)
 
 
 def nullspace(rows):

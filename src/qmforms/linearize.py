@@ -3,16 +3,19 @@
 A weight-k depth-graded basis is the union over i of D^i applied to a basis
 of the weight k-2i modular forms, together with D^(k/2-1) E_2.  Solving is
 one exact echelon of the basis expansions; every coefficient up to the
-target precision is then checked, and any mismatch is a hard error.
+target precision is then checked, and any mismatch is a hard error.  The
+named bases are stored per precision, and the echelon is built once per
+basis and precision; every call still checks each coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil
 
-from . import forms, linalg
+from . import forms, heckeeigen, linalg
 from .characters import bernoulli
 from .exactnum import IntegrityError, factorize
 from .qseries import PrecisionError, QSeries
@@ -45,7 +48,11 @@ def sturm_margin(weight: int, level: int) -> int:
 
 @dataclass(frozen=True)
 class QMBasis:
-    """Ordered list of (FormExpr, QSeries) pairs spanning a solving space."""
+    """Ordered list of (FormExpr, QSeries) pairs spanning a solving space.
+
+    Frozen, so it hashes and compares by content, each pair by identity
+    first: a basis rebuilt from the same stored series is the same key.
+    """
 
     elements: tuple
     weights: tuple
@@ -118,26 +125,56 @@ def qm_basis(weight: int, level: int, depth_cap: int | None = None,
 
 def named_qm_basis(weight: int, level: int, depth_cap: int | None = None,
                    prec: int = forms.DEFAULT_PREC, registry=None) -> QMBasis:
-    """Graded basis over the named generator pools, for reporting."""
-    if depth_cap is None:
-        depth_cap = weight // 2
+    """Graded basis over the named generator pools, for reporting.
 
+    Stored per (weight, level, depth cap, precision, newform precision); only
+    the registry's precision is read, as in forms.generator_pool.
+    """
+    return _named_qm_basis(weight, level, weight // 2 if depth_cap is None else depth_cap, prec,
+                           prec if registry is None else registry.prec)
+
+
+@lru_cache(maxsize=None)
+def _named_qm_basis(weight, level, depth_cap, prec, newform_prec) -> QMBasis:
     def pool(w, n, p):
-        return forms.generator_pool(w, n, False, p, registry)
+        return forms.generator_pool(w, n, False, p, heckeeigen.registry(newform_prec))
 
     return _graded_layers(weight, level, depth_cap, prec, pool)
 
 
 def mixed_qm_basis(weights, level: int, prec: int = forms.DEFAULT_PREC,
                    registry=None) -> QMBasis:
-    """Union of the named graded bases over several weights (ascending)."""
+    """Union of the named graded bases over several weights (ascending).
+
+    Stored per (sorted weights, level, precision, newform precision).
+    """
+    return _mixed_qm_basis(tuple(sorted(weights)), level, prec,
+                           prec if registry is None else registry.prec)
+
+
+@lru_cache(maxsize=None)
+def _mixed_qm_basis(weights, level, prec, newform_prec) -> QMBasis:
     elems = []
     wts = []
-    for w in sorted(weights):
-        b = named_qm_basis(w, level, None, prec, registry)
+    for w in weights:
+        b = named_qm_basis(w, level, None, prec, heckeeigen.registry(newform_prec))
         elems.extend(b.elements)
         wts.extend(b.weights)
     return QMBasis(tuple(elems), tuple(wts), level)
+
+
+named_qm_basis.cache_info = _named_qm_basis.cache_info
+mixed_qm_basis.cache_info = _mixed_qm_basis.cache_info
+
+
+@lru_cache(maxsize=None)
+def _echelon(basis: QMBasis, prec: int) -> linalg.Echelon:
+    """The echelon of the basis series on exponents 0..prec, built once per (basis, prec).
+
+    The key is the basis by value: a QMBasis rebuilt from the same stored
+    series finds it, and one whose series differ anywhere does not.
+    """
+    return linalg.rref(basis.series(), prec)
 
 
 def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
@@ -146,7 +183,9 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
     Solves on the first exponents that make the basis full rank (scanning
     upward), then checks every coefficient up to the common precision.
     Raises on dependent bases, on the first exponent that fails the check,
-    and when the precision falls short of the verification margin.
+    and when the precision falls short of the verification margin.  The
+    echelon is built once per (basis, precision) and stored; the margin, the
+    rank and every coefficient are checked on each call.
     """
     ncols = len(basis)
     if ncols == 0:
@@ -157,10 +196,10 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
         raise PrecisionError(
             f"target precision {prec} below required margin {max(margin, 2 * ncols)}"
         )
-    ech = linalg.rref([s.truncate(prec) for s in basis.series()])
+    ech = _echelon(basis, prec)
     if ech.rank < ncols:
         raise ValueError("basis is linearly dependent on the available coefficients")
-    sol, fail = ech.coords(target.truncate(prec))
+    sol, fail = ech.coords(target)
     if fail is not None:
         raise IntegrityError(f"decomposition fails verification at exponent {fail}")
     return Decomposition(basis, tuple(sol), prec)

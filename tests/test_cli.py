@@ -121,6 +121,22 @@ def test_newforms(capsys):
     assert "4.14.1" in out and "4.14.2" in out
 
 
+def test_newforms_reuse_the_stored_registry(capsys, monkeypatch):
+    from functools import lru_cache
+
+    from qmforms import cli, heckeeigen
+
+    calls = []
+    extract = heckeeigen.extract_newforms
+    monkeypatch.setattr(cli, "registry", lru_cache(maxsize=None)(heckeeigen.Registry))
+    monkeypatch.setattr(heckeeigen, "extract_newforms",
+                        lambda *a: calls.append(1) or extract(*a))
+    first = run(capsys, "newforms", "--weight", "4", "--level", "11")
+    assert run(capsys, "newforms", "--weight", "4", "--level", "11") == first
+    assert first[0] == 0 and "4.11.1" in first[1]
+    assert len(calls) == 1
+
+
 def test_linearize(capsys):
     code, out = run(capsys, "linearize", "E(2)*E(2,2)", "--level", "2", "--prec", "64")
     assert code == 0

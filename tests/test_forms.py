@@ -243,6 +243,16 @@ def test_generator_pool_catalog_order(reg):
     assert len(pool) == 7
 
 
+def test_generator_pool_is_one_stored_tuple(reg):
+    pool = forms.generator_pool(4, 10, False, 128, reg)
+    assert isinstance(pool, tuple)
+    assert forms.generator_pool(4, 10, False, 128) is pool  # the registry's precision is the key
+    assert forms.generator_pool(4, 10, False, 64) is not pool
+    # texts outside the catalog are shared: E(4,2) is one series in every level's pool
+    (e42,) = [s for e, s in forms.generator_pool(4, 2, False, 128) if str(e) == "E(4,2)"]
+    assert e42 is pool[1][1]
+
+
 # -- the function table ------------------------------------------------------
 
 CHARACTERS = st.sampled_from([trivial_character(), quadratic_character(3), quadratic_character(5),

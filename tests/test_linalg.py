@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qmforms.exactnum import FieldElement, QuadExt
 from qmforms.linalg import charpoly, nullspace, rref, solve
-from qmforms.qseries import QSeries
+from qmforms.qseries import PrecisionError, QSeries
 
 EXT = QuadExt(2, 2)  # t^2 = 2t + 2
 EXT3 = QuadExt(Fraction(1, 3), Fraction(5, 2))  # cleared to integers with e = 6
@@ -200,3 +200,14 @@ def test_series_rows_build_no_values():
     ech = rref(rows)
     assert (ech.rank, len(ech.transform)) == (3, 3)
     assert all(s._coeffs is None for s in rows)
+
+
+def test_a_precision_takes_the_leading_columns_of_longer_rows():
+    rows = [QSeries([0, 1, 2, 5, 7]), QSeries([1, 1, 3, 0, 9, 4]), QSeries([2, 3, 8, 5])]
+    ech, cut = rref(rows, 2), rref([r.truncate(2) for r in rows])
+    assert ech.series == rows  # the rows as given, no truncated copies
+    assert (ech.ncols, ech.pivots, ech.rows, ech.transform) == \
+        (cut.ncols, cut.pivots, cut.rows, cut.transform)
+    assert ech.coords(QSeries([1, 2, 5, 5, 16])) == cut.coords(QSeries([1, 2, 5]))
+    with pytest.raises(PrecisionError):
+        rref(rows, 4)

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from qmforms import forms, oracle
+from qmforms import forms, linalg, oracle
 from qmforms.exactnum import IntegrityError
 from qmforms.linearize import (
+    QMBasis,
     build_H,
     build_lahiri,
+    _echelon,
     decompose,
     mixed_qm_basis,
     named_qm_basis,
@@ -71,10 +73,13 @@ def test_decompose_detects_corruption(reg):
 
 
 def test_failed_verification_is_an_integrity_error(reg):
+    basis = named_qm_basis(4, 3, 2, P, reg)
+    assert decompose(build_H(3, P), basis).coefficients == (F(1, 10), F(9, 10), 4, 4)
     cs = list(build_H(3, P).coeffs)
     cs[90] -= 1
+    # the echelon is stored by now; every coefficient is still checked
     with pytest.raises(IntegrityError, match="fails verification at exponent 90"):
-        decompose(QSeries(cs, P), named_qm_basis(4, 3, 2, P, reg))
+        decompose(QSeries(cs, P), basis)
 
 
 def test_decompose_rejects_dependent_basis(reg):
@@ -140,3 +145,78 @@ def test_mixed_basis_size(reg):
     assert len(b) == 9
     b2 = mixed_qm_basis([8, 10, 12, 14], 1, P, reg)
     assert len(b2) == 24
+
+
+def test_mixed_basis_is_stored_by_sorted_weights(reg):
+    b = mixed_qm_basis([10, 8], 1, P, reg)
+    assert mixed_qm_basis((8, 10), 1, P) is b
+    assert b.elements[:4] == named_qm_basis(8, 1, None, P, reg).elements
+
+
+def _pinned_runs(reg):
+    """(target, basis function) of the pinned decompositions at precision P."""
+    e2 = forms.eisenstein(2, 1, P)
+    de2 = e2.derive()
+    runs = [(e2 * e2, lambda: named_qm_basis(4, 1, 2, P, reg))]
+    runs += [(build_H(n, P), lambda n=n: named_qm_basis(4, n, 2, P, reg))
+             for n in (2, 3, 5, 6, 10, 11, 13, 14)]
+    runs += [(forms.eisenstein(2, 2, P) * forms.eisenstein(6, 1, P),
+              lambda: named_qm_basis(8, 2, 1, P, reg)),
+             ((e2 - 1) * de2 * de2, lambda: mixed_qm_basis([8, 10], 1, P, reg))]
+    for k, n in ((4, 14), (6, 10), (8, 5)):
+        def cusp_basis(k=k, n=n):
+            pool = forms.generator_pool(k, n, True, P)
+            return QMBasis(tuple(pool), tuple(k for _ in pool), n)
+
+        runs += [(nf.series, cusp_basis) for nf in reg.space_newforms(k, n)]
+    return runs
+
+
+def test_a_second_run_reuses_every_echelon(reg, monkeypatch):
+    runs = _pinned_runs(reg)
+    first = [decompose(target, basis()).coefficients for target, basis in runs]
+    built, parts = [], []
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    eisenstein_parts = forms._eisenstein_parts
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    monkeypatch.setattr(forms, "_eisenstein_parts",
+                        lambda *a: parts.append(1) or eisenstein_parts(*a))
+    second = [decompose(target, basis()).coefficients for target, basis in runs]
+    assert (len(built), len(parts)) == (0, 0)
+    assert second == first
+    assert first[2] == (F(1, 10), F(9, 10), 4, 4)  # H_3
+    assert first[10] == (0, 0, F(-1, 5), -2, 0, 0, F(2, 21), F(4, 5), 6)  # the mixed target
+
+
+def test_a_changed_series_does_not_reuse_the_echelon(reg):
+    basis = named_qm_basis(4, 3, 2, P, reg)
+    decompose(build_H(3, P), basis)
+    expr, series = basis.elements[1]
+    cs = list(series.coeffs)
+    cs[100] += 1  # past every pivot, so the pivots and the transform are the same
+    changed = QMBasis(basis.elements[:1] + ((expr, QSeries(cs, P)),) + basis.elements[2:],
+                      basis.weights, basis.level)
+    assert changed != basis and _echelon(changed, P) is not _echelon(basis, P)
+    coeffs = [F(3, 7), -2, 5, F(1, 4)]
+    target = sum((c * s for c, s in zip(coeffs[1:], changed.series()[1:])),
+                 coeffs[0] * changed.series()[0])
+    x, fail = linalg.rref(changed.series()).coords(target)
+    assert (x, fail) == (coeffs, None)
+    assert list(decompose(target, changed).coefficients) == x
+    with pytest.raises(IntegrityError, match="fails verification at exponent 100"):
+        decompose(target, basis)
+
+
+def test_each_precision_has_its_own_basis_and_echelon(reg, reg512):
+    want = (F(1, 26), F(25, 26), F(-288, 65), F(24, 5), F(12, 5))
+    for prec in (P, 512):
+        basis = named_qm_basis(4, 5, 2, prec)
+        assert basis.series()[0].prec == prec
+        assert decompose(build_H(5, prec), basis).coefficients == want
+        assert _echelon(basis, prec).ncols == prec + 1
+    assert named_qm_basis(4, 5, 2, P) is not named_qm_basis(4, 5, 2, 512)
