@@ -90,6 +90,12 @@ def _derive(expr, i: int):
     return forms.call("D", i, expr) if i else expr
 
 
+@lru_cache(maxsize=None)
+def _derived(series: QSeries, i: int) -> QSeries:
+    """D^i(series), built once per series value and shared by every basis that has it."""
+    return series.derive(i)
+
+
 def _graded_layers(weight: int, level: int, depth_cap: int, prec: int, pool_fn):
     if weight < 2 or weight % 2:
         raise ValueError("weight must be even and >= 2")
@@ -102,10 +108,11 @@ def _graded_layers(weight: int, level: int, depth_cap: int, prec: int, pool_fn):
         if forms.dimension(w, level) == 0:
             continue
         for expr, series in pool_fn(w, level, prec):
-            elems.append((_derive(expr, i), series.derive(i)))
+            elems.append((_derive(expr, i), _derived(series, i)))
             weights.append(weight)
     if weight // 2 <= depth_cap:
-        e2 = forms.eisenstein(2, 1, prec).derive(weight // 2 - 1)
+        # E2 from the pool-text store: every D^i(E2) is then keyed by one series
+        e2 = _derived(forms._text_form("E(2)", prec)[1], weight // 2 - 1)
         elems.append((_derive(forms.call("E", 2, 1), weight // 2 - 1), e2))
         weights.append(weight)
     return QMBasis(tuple(elems), tuple(weights), level)
