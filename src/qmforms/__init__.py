@@ -5,7 +5,6 @@ from .exactnum import FieldElement, QuadExt, conj, factor_small, trace
 from .qseries import QSeries, eta_quotient, rc_bracket1
 from .characters import (
     gen_bernoulli,
-    make_character,
     principal_character,
     quadratic_character,
     sigma_twisted,
@@ -24,7 +23,7 @@ from .forms import (
 )
 from .heckeeigen import Newform, Registry, extract_newforms, hecke_matrix, \
     multiplicativity_solve, registry
-from .linearize import build_H, build_lahiri, decompose, named_qm_basis, qm_basis
+from .linearize import build_H, build_lahiri, decompose, named_qm_basis
 from .identities import catalog, evaluate_rhs, verify
 from . import oracle
 

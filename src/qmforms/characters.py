@@ -22,7 +22,6 @@ __all__ = [
     "trivial_character",
     "principal_character",
     "quadratic_character",
-    "make_character",
     "gen_bernoulli",
     "bernoulli",
     "sigma_twisted",
@@ -52,9 +51,6 @@ class DirichletCharacter:
     def __str__(self) -> str:
         return self.name
 
-    def to_record(self) -> dict:
-        return {"modulus": self.modulus, "values": list(self.values)}
-
 
 @lru_cache(maxsize=None)
 def trivial_character() -> DirichletCharacter:
@@ -82,16 +78,6 @@ def quadratic_character(m: int) -> DirichletCharacter:
         e = pow(c, (m - 1) // 2, m)
         vals[c] = 1 if e == 1 else -1
     return DirichletCharacter(m, tuple(vals), f"chi{m}")
-
-
-def make_character(kind: str, modulus: int | None = None) -> DirichletCharacter:
-    if kind == "trivial":
-        return trivial_character()
-    if kind == "principal":
-        return principal_character(modulus)
-    if kind == "quadratic":
-        return quadratic_character(modulus)
-    raise ValueError(f"unknown character kind {kind!r}")
 
 
 @lru_cache(maxsize=None)

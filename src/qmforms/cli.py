@@ -10,6 +10,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from . import forms, identities, linearize, oracle
 from .exactnum import IntegrityError, format_element
@@ -185,28 +186,21 @@ def _cmd_convolve(args, cfg: RunConfig) -> int:
         raise UsageError(f"n must be >= 0, got {args.n}")
     if lo > hi:
         raise UsageError(f"--n range is reversed, got {args.n!r}")
-    ns = range(lo, hi + 1)
-    records = []
-    for n in ns:
-        if args.kind == "W":
-            if args.N is None:
-                raise UsageError("--N is required for kind W")
-            val = oracle.W(args.N, n)
-            desc = f"W_{args.N}({n})"
-        elif args.kind == "Smod":
-            if args.a is None or args.b is None:
-                raise UsageError("--a and --b are required for kind Smod")
-            val = oracle.S_mod(args.a, args.b, n)
-            desc = f"S[{args.a},{args.b}]({n})"
-        elif args.kind == "lahiri":
-            if not (args.avec and args.bvec and args.Nvec):
-                raise UsageError("--avec, --bvec, --Nvec are required for kind lahiri")
-            a, b, N = _parse_vec(args.avec), _parse_vec(args.bvec), _parse_vec(args.Nvec)
-            val = oracle.lahiri(a, b, N, n)
-            desc = f"S[{list(a)},{list(b)},{list(N)}]({n})"
-        else:
-            raise UsageError(f"unknown kind {args.kind!r}")
-        records.append({"kind": args.kind, "n": n, "value": val, "desc": desc})
+    if args.kind == "W":
+        if args.N is None:
+            raise UsageError("--N is required for kind W")
+        fn, name = partial(oracle.W, args.N), f"W_{args.N}"
+    elif args.kind == "Smod":
+        if args.a is None or args.b is None:
+            raise UsageError("--a and --b are required for kind Smod")
+        fn, name = partial(oracle.S_mod, args.a, args.b), f"S[{args.a},{args.b}]"
+    else:  # lahiri; argparse's choices admit no other kind
+        if not (args.avec and args.bvec and args.Nvec):
+            raise UsageError("--avec, --bvec, --Nvec are required for kind lahiri")
+        a, b, N = _parse_vec(args.avec), _parse_vec(args.bvec), _parse_vec(args.Nvec)
+        fn, name = partial(oracle.lahiri, a, b, N), f"S[{list(a)},{list(b)},{list(N)}]"
+    records = [{"kind": args.kind, "n": n, "value": fn(n), "desc": f"{name}({n})"}
+               for n in range(lo, hi + 1)]
     _emit(records, cfg, lambda r: f"{r['desc']} = {r['value']}")
     return 0
 

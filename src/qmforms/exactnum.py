@@ -29,7 +29,6 @@ __all__ = [
     "fraction_sqrt",
     "conj",
     "trace",
-    "norm",
     "factorize",
     "factor_small",
     "format_element",
@@ -196,9 +195,6 @@ class FieldElement:
     def trace(self) -> Fraction:
         return 2 * self.a + self.b * self.ext.p
 
-    def norm(self) -> Fraction:
-        return self.a * self.a + self.a * self.b * self.ext.p - self.b * self.b * self.ext.q
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
@@ -315,13 +311,6 @@ def trace(x):
     if isinstance(x, FieldElement):
         return x.trace()
     return 2 * x
-
-
-def norm(x):
-    """x * conj(x); always rational."""
-    if isinstance(x, FieldElement):
-        return x.norm()
-    return x * x
 
 
 # -- small polynomials over Q ----------------------------------------------

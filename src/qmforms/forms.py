@@ -247,14 +247,14 @@ def eisenstein(k: int, n: int = 1, prec: int = DEFAULT_PREC) -> QSeries:
     if k < 2 or k % 2:
         raise ValueError(f"Eisenstein weight must be even and >= 2, got {k}")
     scale = -Fraction(2 * k) / bernoulli(k)
-    return _eisenstein_parts(scale, [(1, n, oracle.sigma_table(k - 1, prec // n))], prec)
+    return _eisenstein_parts(scale, [(1, n, oracle.sigma_table(k - 1, prec))], prec)
 
 
 def phi(a: int, b: int, prec: int = DEFAULT_PREC) -> QSeries:
     """The weight-2 form (b E_2(bz) - a E_2(az)) / (b - a) for a | b, a < b."""
     if not (1 <= a < b and b % a == 0):
         raise ValueError(f"phi requires 1 <= a < b with a | b, got ({a},{b})")
-    sig = oracle.sigma_table(1, prec // a)
+    sig = oracle.sigma_table(1, prec)
     return _eisenstein_parts(Fraction(24, b - a), [(a, a, sig), (-b, b, sig)], prec)
 
 
@@ -676,11 +676,10 @@ def _pool_texts(weight: int, level: int, cuspidal: bool, tails: dict) -> list[st
     return prefix + (tail if tail is not None else _cusp_texts(weight, level))
 
 
-def _build(texts, prec: int, newform_prec: int | None = None):
+def _build(texts, prec: int):
     """(expression, series) of each generator text, at the given precision.
 
-    A newform nf_k_N_i comes from heckeeigen.registry(newform_prec), by
-    default at prec.
+    A newform nf_k_N_i comes from heckeeigen.registry(prec).
     """
     out = []
     for text in texts:
@@ -690,7 +689,7 @@ def _build(texts, prec: int, newform_prec: int | None = None):
             from .heckeeigen import registry
 
             k, n, i = (int(x) for x in text.split("_")[1:])
-            nf = registry(prec if newform_prec is None else newform_prec).newform(f"{k}.{n}.{i}")
+            nf = registry(prec).newform(f"{k}.{n}.{i}")
             out.append((_mk("named", (text,), k, 0, n), nf.series))
         else:
             out.append(_text_form(text, prec))
@@ -741,8 +740,7 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     dim = dimension(weight, level, cuspidal)
     pool = _build(_pool_texts(weight, level, cuspidal, _SPANNING_TAILS), prec)
     what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
-    p = min((s.prec for _, s in pool), default=0)
-    ech = linalg.rref([s for _, s in pool], p)
+    ech = linalg.rref([s for _, s in pool])
     if ech.rank < dim:
         raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
     if ech.rank > dim:
@@ -753,27 +751,22 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     return SpaceBasis(weight, level, cuspidal, elements, ech.pivots, combos)
 
 
+@lru_cache(maxsize=None)
 def generator_pool(weight: int, level: int, cuspidal: bool = False,
-                   prec: int = DEFAULT_PREC, registry=None) -> tuple:
+                   prec: int = DEFAULT_PREC) -> tuple:
     """Generator lists in their catalog order, newforms included.
 
-    This is the presentation basis used for reporting decompositions; it is
-    rank-checked against the dimension table but not echelonized.  Only the
-    registry's precision is read: newforms come from heckeeigen.registry at
-    that precision.  The pool is stored per (weight, level, cuspidal,
-    precision, newform precision) and every call returns the same tuple.
+    This is the presentation basis used for reporting decompositions.  It is
+    not echelonized, and only its size is checked against the dimension
+    table here; its rank is checked by the echelon in linearize.decompose.
+    Newforms come from heckeeigen.registry(prec).  The pool is stored per
+    (weight, level, cuspidal, precision) and every call returns the same
+    tuple.
     """
-    return _pool(weight, level, cuspidal, prec, prec if registry is None else registry.prec)
-
-
-@lru_cache(maxsize=None)
-def _pool(weight: int, level: int, cuspidal: bool, prec: int, newform_prec: int) -> tuple:
-    pool = _build(_pool_texts(weight, level, cuspidal, _PRESENTATION_TAILS), prec, newform_prec)
+    pool = _build(_pool_texts(weight, level, cuspidal, _PRESENTATION_TAILS), prec)
     dim = dimension(weight, level, cuspidal)
     if len(pool) != dim:
         # pools are exact bases here, not just spanning sets
         raise ValueError(f"pool size {len(pool)} != dimension {dim}")
     return tuple(pool)
 
-
-generator_pool.cache_info = _pool.cache_info

@@ -54,10 +54,6 @@ class Newform:
     ext: QuadExt | None
     series: QSeries
 
-    @property
-    def prec(self) -> int:
-        return self.series.prec
-
     def coefficient(self, n: int):
         """Fourier coefficient, extended multiplicatively beyond the expansion."""
         if n < 1:
@@ -381,7 +377,7 @@ def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) ->
         for n in range(m, bound // m + 1):
             if gcd(m, n) == 1 and not holds(m * n, m, n):
                 return False
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _PRIMES:
         if p * p > bound:
             break
         eps = 0 if level % p == 0 else p ** (weight - 1)

@@ -141,10 +141,6 @@ def catalog() -> tuple[IdentitySpec, ...]:
     return tuple(load_catalog())
 
 
-def catalog_ids() -> list[str]:
-    return [spec.ident for spec in catalog()]
-
-
 def get_identity(ident: str) -> IdentitySpec:
     for spec in catalog():
         if spec.ident == ident:

@@ -61,8 +61,8 @@ class Echelon:
     reaches it), and the scan stops once every row has a pivot, so a long
     tail of columns costs nothing.  The first `rank` rows of T express the
     nonzero rows of R in the input rows; the rest span the left kernel.
-    Given `prec`, the columns are 0..prec of rows that may be longer; rows
-    are kept as given, never truncated copies.
+    The columns are 0 up to the first row's precision; a shorter row raises
+    PrecisionError, a longer one is read only that far.
 
     The elimination is fraction-free.  Input row j, the QSeries
     (num_j + unum_j*u) / den_j, is the integer row A'_j over Z[u] (Z over Q)
@@ -75,11 +75,10 @@ class Echelon:
     own input row is 1, as the elimination over values leaves it.
     """
 
-    def __init__(self, rows, prec=None):
+    def __init__(self, rows):
         rows = list(rows)
         n = len(rows)
-        if prec is None:
-            prec = -1 if not n else rows[0].prec if isinstance(rows[0], QSeries) else len(rows[0]) - 1
+        prec = -1 if not n else rows[0].prec if isinstance(rows[0], QSeries) else len(rows[0]) - 1
         self.ncols = prec + 1
         self.series = [r if isinstance(r, QSeries) else QSeries(r) for r in rows] if self.ncols else []
         if self.series and prec > min(s.prec for s in self.series):
@@ -169,9 +168,9 @@ class Echelon:
         return x, rest.valuation()
 
 
-def rref(rows, prec=None) -> Echelon:
-    """The reduced row echelon form of a list of rows, on columns 0..prec if given."""
-    return Echelon(rows, prec)
+def rref(rows) -> Echelon:
+    """The reduced row echelon form of a list of rows."""
+    return Echelon(rows)
 
 
 def nullspace(rows):

@@ -5,7 +5,7 @@ of the weight k-2i modular forms, together with D^(k/2-1) E_2.  Solving is
 one exact echelon of the basis expansions; every coefficient up to the
 target precision is then checked, and any mismatch is a hard error.  The
 named bases are stored per precision, and the echelon is built once per
-basis and precision; every call still checks each coefficient.
+basis; every call still checks each coefficient.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil
 
-from . import forms, heckeeigen, linalg
+from . import forms, linalg
 from .characters import bernoulli
 from .exactnum import IntegrityError, factorize
 from .qseries import PrecisionError, QSeries
@@ -24,7 +24,6 @@ __all__ = [
     "QMBasis",
     "Decomposition",
     "sturm_margin",
-    "qm_basis",
     "named_qm_basis",
     "mixed_qm_basis",
     "decompose",
@@ -96,7 +95,24 @@ def _derived(series: QSeries, i: int) -> QSeries:
     return series.derive(i)
 
 
-def _graded_layers(weight: int, level: int, depth_cap: int, prec: int, pool_fn):
+def _check_registry(prec: int, registry) -> None:
+    if registry is not None and registry.prec != prec:
+        raise ValueError(f"registry precision {registry.prec} differs from basis precision {prec}")
+
+
+def named_qm_basis(weight: int, level: int, depth_cap: int | None = None,
+                   prec: int = forms.DEFAULT_PREC, registry=None) -> QMBasis:
+    """Graded basis over the named generator pools, for reporting.
+
+    Stored per (weight, level, depth cap, precision).  Newforms come from
+    heckeeigen.registry(prec); a registry, if passed, must be at prec.
+    """
+    _check_registry(prec, registry)
+    return _named_qm_basis(weight, level, weight // 2 if depth_cap is None else depth_cap, prec)
+
+
+@lru_cache(maxsize=None)
+def _named_qm_basis(weight: int, level: int, depth_cap: int, prec: int) -> QMBasis:
     if weight < 2 or weight % 2:
         raise ValueError("weight must be even and >= 2")
     elems = []
@@ -107,7 +123,7 @@ def _graded_layers(weight: int, level: int, depth_cap: int, prec: int, pool_fn):
         w = weight - 2 * i
         if forms.dimension(w, level) == 0:
             continue
-        for expr, series in pool_fn(w, level, prec):
+        for expr, series in forms.generator_pool(w, level, False, prec):
             elems.append((_derive(expr, i), _derived(series, i)))
             weights.append(weight)
     if weight // 2 <= depth_cap:
@@ -118,53 +134,23 @@ def _graded_layers(weight: int, level: int, depth_cap: int, prec: int, pool_fn):
     return QMBasis(tuple(elems), tuple(weights), level)
 
 
-def qm_basis(weight: int, level: int, depth_cap: int | None = None,
-             prec: int = forms.DEFAULT_PREC) -> QMBasis:
-    """Graded basis built on the echelonized space bases."""
-    if depth_cap is None:
-        depth_cap = weight // 2
-
-    def pool(w, n, p):
-        return forms.space_basis(w, n, False, p).elements
-
-    return _graded_layers(weight, level, depth_cap, prec, pool)
-
-
-def named_qm_basis(weight: int, level: int, depth_cap: int | None = None,
-                   prec: int = forms.DEFAULT_PREC, registry=None) -> QMBasis:
-    """Graded basis over the named generator pools, for reporting.
-
-    Stored per (weight, level, depth cap, precision, newform precision); only
-    the registry's precision is read, as in forms.generator_pool.
-    """
-    return _named_qm_basis(weight, level, weight // 2 if depth_cap is None else depth_cap, prec,
-                           prec if registry is None else registry.prec)
-
-
-@lru_cache(maxsize=None)
-def _named_qm_basis(weight, level, depth_cap, prec, newform_prec) -> QMBasis:
-    def pool(w, n, p):
-        return forms.generator_pool(w, n, False, p, heckeeigen.registry(newform_prec))
-
-    return _graded_layers(weight, level, depth_cap, prec, pool)
-
-
 def mixed_qm_basis(weights, level: int, prec: int = forms.DEFAULT_PREC,
                    registry=None) -> QMBasis:
     """Union of the named graded bases over several weights (ascending).
 
-    Stored per (sorted weights, level, precision, newform precision).
+    Stored per (sorted weights, level, precision); a registry, if passed,
+    must be at prec.
     """
-    return _mixed_qm_basis(tuple(sorted(weights)), level, prec,
-                           prec if registry is None else registry.prec)
+    _check_registry(prec, registry)
+    return _mixed_qm_basis(tuple(sorted(weights)), level, prec)
 
 
 @lru_cache(maxsize=None)
-def _mixed_qm_basis(weights, level, prec, newform_prec) -> QMBasis:
+def _mixed_qm_basis(weights, level, prec) -> QMBasis:
     elems = []
     wts = []
     for w in weights:
-        b = named_qm_basis(w, level, None, prec, heckeeigen.registry(newform_prec))
+        b = named_qm_basis(w, level, None, prec)
         elems.extend(b.elements)
         wts.extend(b.weights)
     return QMBasis(tuple(elems), tuple(wts), level)
@@ -175,24 +161,25 @@ mixed_qm_basis.cache_info = _mixed_qm_basis.cache_info
 
 
 @lru_cache(maxsize=None)
-def _echelon(basis: QMBasis, prec: int) -> linalg.Echelon:
-    """The echelon of the basis series on exponents 0..prec, built once per (basis, prec).
+def _echelon(basis: QMBasis) -> linalg.Echelon:
+    """The echelon of the basis series, built once per basis.
 
     The key is the basis by value: a QMBasis rebuilt from the same stored
     series finds it, and one whose series differ anywhere does not.
     """
-    return linalg.rref(basis.series(), prec)
+    return linalg.rref(basis.series())
 
 
 def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
     """Exact coordinates of the target in the basis, surplus-verified.
 
-    Solves on the first exponents that make the basis full rank (scanning
-    upward), then checks every coefficient up to the common precision.
-    Raises on dependent bases, on the first exponent that fails the check,
-    and when the precision falls short of the verification margin.  The
-    echelon is built once per (basis, precision) and stored; the margin, the
-    rank and every coefficient are checked on each call.
+    Solves on the pivot exponents of the basis echelon, then checks every
+    coefficient up to the common precision of the target and the basis.
+    Raises when the precision falls short of the verification margin, on a
+    basis that is dependent or whose last pivot lies past the common
+    precision, and on the first exponent that fails the check.  The echelon
+    is built once per basis and stored; the margin, the rank and every
+    coefficient are checked on each call.
     """
     ncols = len(basis)
     if ncols == 0:
@@ -203,8 +190,8 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
         raise PrecisionError(
             f"target precision {prec} below required margin {max(margin, 2 * ncols)}"
         )
-    ech = _echelon(basis, prec)
-    if ech.rank < ncols:
+    ech = _echelon(basis)
+    if ech.rank < ncols or ech.pivots[-1] > prec:
         raise ValueError("basis is linearly dependent on the available coefficients")
     sol, fail = ech.coords(target)
     if fail is not None:

@@ -28,7 +28,6 @@ __all__ = [
     "lahiri_range",
     "table_names",
     "table_entries",
-    "table_fixture",
 ]
 
 
@@ -234,12 +233,3 @@ def table_entries(name: str) -> dict:
         return dict(_tables()[name])
     except KeyError:
         raise KeyError(f"unknown table {name!r}") from None
-
-
-def table_fixture(name: str, n: int):
-    """One tabulated coefficient, verbatim golden data."""
-    entries = table_entries(name)
-    try:
-        return entries[n]
-    except KeyError:
-        raise KeyError(f"table {name!r} has no entry for n={n}") from None

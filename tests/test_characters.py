@@ -7,7 +7,6 @@ from qmforms import oracle
 from qmforms.characters import (
     bernoulli,
     gen_bernoulli,
-    make_character,
     principal_character,
     quadratic_character,
     sigma_twisted,
@@ -20,11 +19,11 @@ from qmforms.forms import eisenstein
 
 
 def test_character_values():
-    chi3 = make_character("quadratic", 3)
+    chi3 = quadratic_character(3)
     assert chi3(2) == -1 and chi3(1) == 1 and chi3(0) == 0
-    assert make_character("quadratic", 13)(2) == -1
-    assert make_character("principal", 6)(35) == 1
-    assert make_character("trivial")(0) == 1
+    assert quadratic_character(13)(2) == -1
+    assert principal_character(6)(35) == 1
+    assert trivial_character()(0) == 1
 
 
 def test_quadratic_character_requires_odd_prime():
@@ -139,8 +138,3 @@ def test_twisted_level():
     assert twisted_level(3, chi3) == 9
     assert twisted_level(2, chi3) == 18
     assert twisted_level(5, trivial_character()) == 5
-
-
-def test_character_serialization():
-    chi3 = quadratic_character(3)
-    assert chi3.to_record() == {"modulus": 3, "values": [0, 1, -1]}

@@ -43,6 +43,17 @@ def test_phi_values():
         phi(1, 1, 8)
 
 
+def test_every_level_reads_one_sigma_table():
+    oracle.sigma_table.cache_clear()
+    series = [eisenstein(4, n, P) for n in range(1, 15)]
+    assert oracle.sigma_table.cache_info().currsize == 1
+    for n, e in enumerate(series, 1):
+        assert e.coeff_list() == [1] + [0 if m % n else 240 * oracle.sigma(3, m // n)
+                                        for m in range(1, P + 1)]
+    phi(1, 7, P), phi(2, 14, P)
+    assert oracle.sigma_table.cache_info().currsize == 2
+
+
 def test_char_eisenstein():
     one = trivial_character()
     chi13 = quadratic_character(13)
@@ -235,18 +246,18 @@ def test_catalog_and_space_bases_round_trip():
         assert again.coeff_list(p) == series.coeff_list(p), str(expr)
 
 
-def test_generator_pool_catalog_order(reg):
-    pool = forms.generator_pool(4, 10, False, 128, reg)
+def test_generator_pool_catalog_order():
+    pool = forms.generator_pool(4, 10, False, 128)
     names = [str(e) for e, _ in pool]
     assert names[:4] == ["E(4)", "E(4,2)", "E(4,5)", "E(4,10)"]
     assert "nf_4_10_1" in names[4]
     assert len(pool) == 7
 
 
-def test_generator_pool_is_one_stored_tuple(reg):
-    pool = forms.generator_pool(4, 10, False, 128, reg)
+def test_generator_pool_is_one_stored_tuple():
+    pool = forms.generator_pool(4, 10, False, 128)
     assert isinstance(pool, tuple)
-    assert forms.generator_pool(4, 10, False, 128) is pool  # the registry's precision is the key
+    assert forms.generator_pool(4, 10, False, 128) is pool
     assert forms.generator_pool(4, 10, False, 64) is not pool
     # texts outside the catalog are shared: E(4,2) is one series in every level's pool
     (e42,) = [s for e, s in forms.generator_pool(4, 2, False, 128) if str(e) == "E(4,2)"]

@@ -200,7 +200,7 @@ def test_hecke_multiplicativity_relation(reg):
         k, lvl = nf.weight, nf.level
         for m in range(1, 15):
             for n in range(1, 15):
-                if m * n > nf.prec:
+                if m * n > nf.series.prec:
                     continue
                 acc = 0
                 d = 1

@@ -16,7 +16,7 @@ def F(*args):
 def test_catalog_inventory():
     cat = idn.catalog()
     assert len(cat) == 27
-    ids = idn.catalog_ids()
+    ids = [spec.ident for spec in cat]
     for want in ("w1", "w10", "w11", "w13", "w14", "smod3.0", "smod3.sum",
                  "s1.s5_2", "lahiri.011", "lahiri.00011", "bsum.2a5b", "absum.a5b"):
         assert want in ids
@@ -187,7 +187,7 @@ def outcome(fn, *args):
         return ("raised", str(exc))
 
 
-@pytest.mark.parametrize("spec", idn.catalog(), ids=idn.catalog_ids())
+@pytest.mark.parametrize("spec", idn.catalog(), ids=lambda spec: spec.ident)
 def test_evaluate_rhs_matches_per_n_reference(spec, reg):
     for n in range(1, 61):
         got = idn.evaluate_rhs(spec, n, reg.tau)

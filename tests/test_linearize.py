@@ -13,7 +13,6 @@ from qmforms.linearize import (
     decompose,
     mixed_qm_basis,
     named_qm_basis,
-    qm_basis,
     sturm_margin,
 )
 from qmforms.qseries import PrecisionError, QSeries
@@ -26,10 +25,10 @@ def F(*args):
 
 
 def test_qm_basis_sizes():
-    assert len(qm_basis(4, 3, 2, P)) == 4
-    assert len(qm_basis(4, 1, 2, P)) == 2
-    assert len(qm_basis(6, 1, 1, P)) == 2
-    assert len(qm_basis(8, 2, 1, P)) == 5
+    assert len(named_qm_basis(4, 3, 2, P)) == 4
+    assert len(named_qm_basis(4, 1, 2, P)) == 2
+    assert len(named_qm_basis(6, 1, 1, P)) == 2
+    assert len(named_qm_basis(8, 2, 1, P)) == 5
     assert [str(e) for e, _ in named_qm_basis(6, 1, 1, P).elements] == ["E(6)", "D(E(4))"]
 
 
@@ -91,8 +90,8 @@ def test_decompose_rejects_dependent_basis(reg):
         decompose(build_H(3, P), doubled)
 
 
-def test_decompose_precision_guard(reg):
-    basis = named_qm_basis(4, 3, 2, 16, reg)
+def test_decompose_precision_guard():
+    basis = named_qm_basis(4, 3, 2, 16)
     with pytest.raises(PrecisionError):
         decompose(build_H(3, 16), basis)
 
@@ -201,7 +200,7 @@ def test_a_changed_series_does_not_reuse_the_echelon(reg):
     cs[100] += 1  # past every pivot, so the pivots and the transform are the same
     changed = QMBasis(basis.elements[:1] + ((expr, QSeries(cs, P)),) + basis.elements[2:],
                       basis.weights, basis.level)
-    assert changed != basis and _echelon(changed, P) is not _echelon(basis, P)
+    assert changed != basis and _echelon(changed) is not _echelon(basis)
     coeffs = [F(3, 7), -2, 5, F(1, 4)]
     target = sum((c * s for c, s in zip(coeffs[1:], changed.series()[1:])),
                  coeffs[0] * changed.series()[0])
@@ -218,5 +217,37 @@ def test_each_precision_has_its_own_basis_and_echelon(reg, reg512):
         basis = named_qm_basis(4, 5, 2, prec)
         assert basis.series()[0].prec == prec
         assert decompose(build_H(5, prec), basis).coefficients == want
-        assert _echelon(basis, prec).ncols == prec + 1
+        assert _echelon(basis).ncols == prec + 1
     assert named_qm_basis(4, 5, 2, P) is not named_qm_basis(4, 5, 2, 512)
+
+
+def test_a_shorter_target_is_solved_on_the_stored_echelon(reg):
+    basis = named_qm_basis(4, 3, 2, P, reg)
+    d = decompose(build_H(3, 100), basis)
+    assert (d.coefficients, d.verified_to) == ((F(1, 10), F(9, 10), 4, 4), 100)
+    assert _echelon(basis).ncols == P + 1
+    cs = list(build_H(3, 100).coeffs)
+    cs[90] -= 1
+    with pytest.raises(IntegrityError, match="fails verification at exponent 90"):
+        decompose(QSeries(cs, 100), basis)
+    with pytest.raises(PrecisionError, match="below required margin 64"):
+        decompose(build_H(3, 63), basis)
+
+
+def test_a_pivot_past_the_target_precision_is_a_dependent_basis():
+    e4 = forms.eisenstein(4, 1, P)
+    late = QSeries([0] * 80 + [1, 2], P)  # first nonzero coefficient at q^80
+    basis = QMBasis(((forms.call("E", 4, 1), e4), (forms.call("E", 4, 2), late)), (4, 4), 1)
+    target = 3 * e4 + late
+    assert decompose(target, basis).coefficients == (3, 1)
+    for prec in (64, 79):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            decompose(target.truncate(prec), basis)
+    assert decompose(target.truncate(80), basis).coefficients == (3, 1)
+
+
+def test_a_registry_at_another_precision_is_refused(reg512):
+    with pytest.raises(ValueError, match="registry precision 512.*basis precision 128"):
+        named_qm_basis(4, 11, 2, 128, reg512)
+    with pytest.raises(ValueError, match="registry precision 512.*basis precision 128"):
+        mixed_qm_basis([8, 10], 1, 128, reg512)

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmforms import identities, oracle
-from qmforms.exactnum import QuadExt
 
 
 def test_sigma():
@@ -181,17 +180,6 @@ def test_smod_range_rejects_bad_residue():
 def test_sweeps_reject_bad_descriptors(call, named):
     with pytest.raises(ValueError, match=named):
         call()
-
-
-def test_table_fixture():
-    assert oracle.table_fixture("tau_4_7", 19) == -110
-    assert oracle.table_fixture("tau_6_10_3", 11) == -768
-    v = QuadExt(20, -24).gen()
-    assert oracle.table_fixture("tau_8_5_2", 4) == 248 - 20 * v
-    with pytest.raises(KeyError):
-        oracle.table_fixture("tau_4_7", 23)
-    with pytest.raises(KeyError):
-        oracle.table_fixture("nonsense", 1)
 
 
 def test_table_inventory():

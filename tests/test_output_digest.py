@@ -37,7 +37,7 @@ def output_items(reg512):
             items.append(["basis", k, n, cuspidal, list(basis.pivots),
                           [s.to_record() for s in basis.series()]])
             try:
-                pool = forms.generator_pool(k, n, cuspidal, 512, reg512)
+                pool = forms.generator_pool(k, n, cuspidal, 512)
             except ValueError as exc:
                 items.append(["pool", k, n, cuspidal, type(exc).__name__, str(exc)])
                 continue
