@@ -43,16 +43,20 @@ class RunConfig:
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -67,7 +71,7 @@ _CONFIG_KEYS = {
 
 def _config(args) -> RunConfig:
     cfg = RunConfig()
-    if args.config:
+    if args.config is not None:
         kw = {}
         for key, val in _load_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
@@ -79,11 +83,11 @@ def _config(args) -> RunConfig:
         cfg = replace(cfg, precision=args.prec)
     if cfg.precision < MIN_PREC and args.fn is not _cmd_expand:
         raise UsageError(f"precision must be at least {MIN_PREC} for {args.command}")
-    if getattr(args, "nmax", None):
+    if getattr(args, "nmax", None) is not None:
         cfg = replace(cfg, n_max=args.nmax)
-    if getattr(args, "format", None):
+    if getattr(args, "format", None) is not None:
         cfg = replace(cfg, fmt=args.format)
-    if getattr(args, "catalog", None):
+    if getattr(args, "catalog", None) is not None:
         cfg = replace(cfg, catalog_path=args.catalog)
     return cfg
 
@@ -242,14 +246,16 @@ def _cmd_tables(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    if args.all:
-        specs = list(identities.load_catalog(cfg.catalog_path))
-    elif args.id:
-        specs = [s for s in identities.load_catalog(cfg.catalog_path) if s.ident == args.id]
+    if not (args.all or args.id):
+        raise UsageError("verify needs --id or --all")
+    try:
+        specs = identities.load_catalog(cfg.catalog_path)
+    except OSError as exc:
+        raise UsageError(f"cannot read catalog file {cfg.catalog_path!r}: {exc.strerror}") from None
+    if not args.all:
+        specs = [s for s in specs if s.ident == args.id]
         if not specs:
             raise UsageError(f"no identity with id {args.id!r}")
-    else:
-        raise UsageError("verify needs --id or --all")
     needed = max(cfg.n_max or 0, max(s.nmax for s in specs))
     reg = registry(max(cfg.precision, needed))
     records = []

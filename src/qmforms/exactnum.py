@@ -435,20 +435,17 @@ def _rational_root(ints):
     return None
 
 
-def factor_small(coeffs, max_degree: int = 5):
-    """Factor a low-degree rational polynomial into linear and quadratic parts.
+def factor_small(coeffs):
+    """Factor a rational polynomial into linear and quadratic parts.
 
     Returns (roots, quadratics): rational roots with multiplicity, sorted in
     descending order, and irreducible monic quadratics as QuadraticFactor
-    records.  Raises if the degree exceeds max_degree or an irreducible
-    factor of degree > 2 remains after stripping rational roots.
+    records.  Raises if an irreducible factor of degree > 2 remains after
+    stripping rational roots.
     """
     cs = poly_trim([as_fraction(c) for c in coeffs])
-    deg = len(cs) - 1
-    if deg < 0:
+    if not cs:
         raise ValueError("zero polynomial")
-    if deg > max_degree:
-        raise ValueError(f"degree {deg} exceeds limit {max_degree}")
     roots = []
     work = cs[:]
     while poly_degree(work) >= 1:

@@ -6,11 +6,12 @@ and the handful of derived constructions (rescalings, products, a cube root,
 one Rankin-Cohen bracket, Hecke images) the identity engine needs.  The
 language's functions are one table, `_FUNCTIONS`; `call` builds an
 expression of any of them.  The catalog names some forms; generator pools
-are lists of texts, and every series is built by `evaluate`.  Catalog
-forms, the other pool texts, generator pools and space bases are each built
-once per precision and stored (`lru_cache`, keyed by value).  Space
-dimensions are pinned in a table and every generator pool is rank-checked
-against it when echelonized.
+are lists of texts, and every series is built by `evaluate`.  Every solving
+space, modular or quasimodular, is one class, `QMBasis`.  Catalog forms, the
+other pool texts, generator pools and space bases are each built once per
+precision and stored (`lru_cache`, keyed by value), and so is each basis's
+echelon (`_echelon`, keyed by the basis).  Space dimensions are pinned in a
+table and every generator pool is rank-checked against it when echelonized.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .qseries import QSeries, _make, eta_quotient, one, rc_bracket1
 __all__ = [
     "DEFAULT_PREC",
     "FormExpr",
-    "SpaceBasis",
+    "QMBasis",
     "DIMENSIONS",
     "dimension",
     "eisenstein",
@@ -704,22 +705,46 @@ def _text_form(text: str, prec: int):
 
 
 @dataclass(frozen=True)
-class SpaceBasis:
-    """Echelonized exact basis of a space of modular forms."""
+class QMBasis:
+    """Ordered (FormExpr, QSeries) pairs spanning a space of quasimodular forms.
 
-    weight: int
-    level: int
-    cuspidal: bool
+    A space of modular forms is the depth-0 case (Kaneko-Zagier): space_basis
+    gives its echelon basis, every weight the same.  Frozen, so it hashes and
+    compares by content, each pair by identity first: a basis rebuilt from the
+    same stored series is the same key, and finds its echelon in the store.
+    """
+
     elements: tuple
-    pivots: tuple
-    combos: tuple
+    weights: tuple
+    level: int
+
+    def __len__(self):
+        return len(self.elements)
 
     @property
     def prec(self) -> int:
         return self.elements[0][1].prec if self.elements else 0
 
+    @property
+    def echelon(self) -> linalg.Echelon:
+        return _echelon(self)
+
+    @property
+    def pivots(self) -> tuple:
+        return self.echelon.pivots
+
     def series(self) -> list[QSeries]:
         return [s for _, s in self.elements]
+
+
+@lru_cache(maxsize=None)
+def _echelon(basis: QMBasis) -> linalg.Echelon:
+    """The echelon of the basis series, on every column, built once per basis.
+
+    The key is the basis by value: a QMBasis rebuilt from the same stored
+    series finds it, and one whose series differ anywhere does not.
+    """
+    return linalg.rref(basis.series())
 
 
 def _combo_expr(combo, exprs) -> FormExpr:
@@ -735,8 +760,8 @@ def _combo_expr(combo, exprs) -> FormExpr:
 
 @lru_cache(maxsize=None)
 def space_basis(weight: int, level: int, cuspidal: bool = False,
-                prec: int = DEFAULT_PREC) -> SpaceBasis:
-    """Echelonized basis of M_k(Gamma0(N)) or its cuspidal subspace."""
+                prec: int = DEFAULT_PREC) -> QMBasis:
+    """Echelon basis of M_k(Gamma0(N)) or S_k, each expression its combination of the pool."""
     dim = dimension(weight, level, cuspidal)
     pool = _build(_pool_texts(weight, level, cuspidal, _SPANNING_TAILS), prec)
     what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
@@ -745,10 +770,10 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
         raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
     if ech.rank > dim:
         raise ValueError(f"dimension table violated for {what}: rank {ech.rank} > {dim}")
-    exprs = tuple(e for e, _ in pool)
-    combos = tuple(tuple(c) for c in ech.transform[: ech.rank])
-    elements = tuple((_combo_expr(c, exprs), QSeries(row)) for c, row in zip(combos, ech.rows))
-    return SpaceBasis(weight, level, cuspidal, elements, ech.pivots, combos)
+    exprs = [e for e, _ in pool]
+    elements = tuple((_combo_expr(c, exprs), QSeries(row))
+                     for c, row in zip(ech.transform, ech.rows))
+    return QMBasis(elements, (weight,) * ech.rank, level)
 
 
 @lru_cache(maxsize=None)

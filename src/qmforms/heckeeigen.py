@@ -98,24 +98,24 @@ def _validate_newform(nf: Newform):
 # Hecke matrices
 
 
-def hecke_matrix(space: forms.SpaceBasis, p: int, fs=None):
+def hecke_matrix(space: forms.QMBasis, p: int, fs=None):
     """Matrix of T_p on the span of the series fs, columns indexed by the fs.
 
-    fs defaults to the echelon basis of the space; given, it must be a basis
-    of a T_p-stable subspace.  The precision guard is the whole space's.
+    fs defaults to the series of the space, solved on its stored echelon;
+    given, it must be a basis of a T_p-stable subspace, and is echelonized
+    here.  The precision guard is the whole space's.
     """
-    fs = space.series() if fs is None else fs
-    if not fs:
+    ech = space.echelon if fs is None else linalg.rref(fs)
+    if not ech.series:
         return []
-    dim = len(space.elements)
+    dim = len(space)
     if space.prec < p * (space.pivots[-1] + dim + 2):
         raise PrecisionError(
             f"basis precision {space.prec} too low for T_{p} on {dim} elements"
         )
-    ech = linalg.rref(fs)
     cols = []
-    for f in fs:
-        coords, fail = ech.coords(f.hecke(p, space.weight, space.level))
+    for f in ech.series:
+        coords, fail = ech.coords(f.hecke(p, space.weights[0], space.level))
         if fail is not None:
             raise ValueError(
                 f"T_{p} image leaves the space (exponent {fail}); pool is not stable"
@@ -128,24 +128,26 @@ def hecke_matrix(space: forms.SpaceBasis, p: int, fs=None):
 # eigenform extraction by diagonalization
 
 
-def _split(space, fs, is_old, prime_idx=0):
+def _split(space, is_old, fs=None, prime_idx=0):
     """Eigenforms (ext, series) on the Hecke-stable span of fs, old ones dropped.
 
-    Each eigenspace of T_p is kept as series, combine(kernel vector, fs): one
-    series is an eigenform, more are split again by the next prime.  A
-    quadratic factor gives one eigenform over Q(t); its conjugate is the other.
+    fs defaults to the series of the whole space.  Each eigenspace of T_p is
+    kept as series, combine(kernel vector, fs): one series is an eigenform,
+    more are split again by the next prime.  A quadratic factor gives one
+    eigenform over Q(t); its conjugate is the other.
     """
     if prime_idx >= len(_PRIMES):
         raise ValueError("eigenspaces did not split with the available primes")
     op = hecke_matrix(space, _PRIMES[prime_idx], fs)
-    roots, quads = factor_small(linalg.charpoly(op), max_degree=len(op))
+    fs = space.series() if fs is None else fs
+    roots, quads = factor_small(linalg.charpoly(op))
     if not roots and not quads:
         raise ValueError("characteristic polynomial did not factor")
     out = []
     for lam in sorted(set(roots), reverse=True):
         gs = [combine(k, fs) for k in linalg.nullspace(_shift(op, lam))]
         if len(gs) > 1:
-            out += _split(space, gs, is_old, prime_idx + 1)
+            out += _split(space, is_old, gs, prime_idx + 1)
         elif not is_old(gs[0]):
             out.append((None, gs[0]))
     for qf in quads:
@@ -178,28 +180,29 @@ def _poly_of_matrix(qf, m):
              for j in range(n)] for i in range(n)]
 
 
-def extract_newforms(space: forms.SpaceBasis, old_span=()) -> list[Newform]:
+def extract_newforms(space: forms.QMBasis, old_span=()) -> list[Newform]:
     """Newforms of a cusp space, by Hecke diagonalization.
 
     old_span lists expansions of forms arising from lower levels; eigenforms
     falling inside their span are discarded.  Quadratic eigenvalue pairs must
     be totally real unless the corresponding subspace is old.
     """
-    ech = linalg.rref(space.series())
-    if any(ech.coords(s)[1] is not None for s in old_span):
+    if any(space.echelon.coords(s)[1] is not None for s in old_span):
         raise ValueError("old form does not lie in the cusp space")
+    if not space.elements:  # every old form is zero: nothing to split
+        return []
     old = linalg.rref(old_span)
 
     def is_old(f):
         return old.coords(f)[1] is None
 
     parts = []
-    for ext, f in _split(space, space.series(), is_old) if space.elements else ():
+    for ext, f in _split(space, is_old):
         v = f.valuation()
         lead = f.coeff(v)
         parts.append((ext, f if lead == 1 else (Fraction(1) / lead) * f))
-    nfs = _label_sorted(parts, space.weight, space.level)
-    expected = len(space.elements) - old.rank
+    nfs = _label_sorted(parts, space.weights[0], space.level)
+    expected = len(space) - old.rank
     if len(nfs) != expected:
         raise ValueError(f"extracted {len(nfs)} newforms, expected {expected}")
     return nfs
@@ -238,15 +241,15 @@ def _label_sorted(parts, weight: int, level: int) -> list[Newform]:
 # some x_j free fixes a(p) and makes the next prime the symbol.
 
 
-def multiplicativity_solve(space: forms.SpaceBasis) -> list[Newform]:
-    weight, level = space.weight, space.level
-    dim = len(space.elements)
+def multiplicativity_solve(space: forms.QMBasis) -> list[Newform]:
+    dim = len(space)
     if dim > 5:
         raise ValueError("multiplicativity solver handles dimension <= 5")
     if space.pivots != tuple(range(1, dim + 1)):
         raise ValueError("cusp basis pivots must be exactly 1..dim")
     if dim == 0:
         return []
+    weight, level = space.weights[0], space.level
     candidates = _solve(space, {}, 2) if dim > 1 else [{}]
 
     seen = []
@@ -264,7 +267,7 @@ def multiplicativity_solve(space: forms.SpaceBasis) -> list[Newform]:
 
 def _solve(space, fixed: dict, p: int) -> list[dict]:
     """Solutions x (dicts j -> x_j) with a(q) = fixed[q] and a(p) unknown."""
-    dim = len(space.elements)
+    dim = len(space)
     known = {1: [Fraction(1)], p: [Fraction(0), Fraction(1)]}
     known.update((q, poly_trim([v])) for q, v in fixed.items())
     free = [j for j in range(2, dim + 1) if j not in known]
@@ -302,7 +305,7 @@ def _relation_rows(space, known: dict, free: list) -> list:
 
     known maps 1 and each prime whose a(p) is fixed or symbolic to a(p) in K[s].
     """
-    weight, level, dim = space.weight, space.level, len(space.elements)
+    weight, level, dim = space.weights[0], space.level, len(space)
 
     def a(n):
         col = [as_fraction(s.coeff(n)) for _, s in space.elements]

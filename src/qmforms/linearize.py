@@ -4,8 +4,9 @@ A weight-k depth-graded basis is the union over i of D^i applied to a basis
 of the weight k-2i modular forms, together with D^(k/2-1) E_2.  Solving is
 one exact echelon of the basis expansions; every coefficient up to the
 target precision is then checked, and any mismatch is a hard error.  The
-named bases are stored per precision, and the echelon is built once per
-basis; every call still checks each coefficient.
+named bases are stored per precision.  `QMBasis` is the one space class of
+`forms`, whose store builds the echelon once per basis value; every call
+still checks each coefficient.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil
 
-from . import forms, linalg
+from . import forms
 from .characters import bernoulli
 from .exactnum import IntegrityError, factorize
+from .forms import QMBasis
 from .qseries import PrecisionError, QSeries
 
 __all__ = [
@@ -43,29 +45,6 @@ def _mu(level: int) -> int:
 def sturm_margin(weight: int, level: int) -> int:
     """Number of verified coefficients: well past the equality bound."""
     return max(64, ceil(Fraction(8 * weight * _mu(level), 12)))
-
-
-@dataclass(frozen=True)
-class QMBasis:
-    """Ordered list of (FormExpr, QSeries) pairs spanning a solving space.
-
-    Frozen, so it hashes and compares by content, each pair by identity
-    first: a basis rebuilt from the same stored series is the same key.
-    """
-
-    elements: tuple
-    weights: tuple
-    level: int
-
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def max_weight(self) -> int:
-        return max(self.weights)
-
-    def series(self):
-        return [s for _, s in self.elements]
 
 
 @dataclass(frozen=True)
@@ -138,36 +117,16 @@ def mixed_qm_basis(weights, level: int, prec: int = forms.DEFAULT_PREC,
                    registry=None) -> QMBasis:
     """Union of the named graded bases over several weights (ascending).
 
-    Stored per (sorted weights, level, precision); a registry, if passed,
-    must be at prec.
+    A concatenation of stored named bases, so its echelon is found by value;
+    a registry, if passed, must be at prec.
     """
     _check_registry(prec, registry)
-    return _mixed_qm_basis(tuple(sorted(weights)), level, prec)
-
-
-@lru_cache(maxsize=None)
-def _mixed_qm_basis(weights, level, prec) -> QMBasis:
-    elems = []
-    wts = []
-    for w in weights:
-        b = named_qm_basis(w, level, None, prec)
-        elems.extend(b.elements)
-        wts.extend(b.weights)
-    return QMBasis(tuple(elems), tuple(wts), level)
+    bases = [named_qm_basis(w, level, None, prec) for w in sorted(weights)]
+    return QMBasis(tuple(e for b in bases for e in b.elements),
+                   tuple(w for b in bases for w in b.weights), level)
 
 
 named_qm_basis.cache_info = _named_qm_basis.cache_info
-mixed_qm_basis.cache_info = _mixed_qm_basis.cache_info
-
-
-@lru_cache(maxsize=None)
-def _echelon(basis: QMBasis) -> linalg.Echelon:
-    """The echelon of the basis series, built once per basis.
-
-    The key is the basis by value: a QMBasis rebuilt from the same stored
-    series finds it, and one whose series differ anywhere does not.
-    """
-    return linalg.rref(basis.series())
 
 
 def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
@@ -185,12 +144,12 @@ def decompose(target: QSeries, basis: QMBasis) -> Decomposition:
     if ncols == 0:
         raise ValueError("empty basis")
     prec = min([target.prec] + [s.prec for s in basis.series()])
-    margin = sturm_margin(basis.max_weight, basis.level)
+    margin = sturm_margin(max(basis.weights), basis.level)
     if prec < max(margin, 2 * ncols):
         raise PrecisionError(
             f"target precision {prec} below required margin {max(margin, 2 * ncols)}"
         )
-    ech = _echelon(basis)
+    ech = basis.echelon
     if ech.rank < ncols or ech.pivots[-1] > prec:
         raise ValueError("basis is linearly dependent on the available coefficients")
     sol, fail = ech.coords(target)

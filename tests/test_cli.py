@@ -195,6 +195,31 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "unknown config key 'fixtures'" in capsys.readouterr().err
 
 
+def test_nmax_zero_is_read_as_zero(tmp_path, capsys):
+    assert run(capsys, "verify", "--id", "w1", "--nmax", "0", "--prec", "64") == \
+        (0, "w1: 0/0 pass\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax=0\n")
+    assert run(capsys, "--config", str(cfg), "verify", "--id", "w1", "--prec", "64") == \
+        (0, "w1: 0/0 pass\n")
+
+
+@pytest.mark.parametrize("argv, what, name", [
+    (["--config", "{missing}", "verify", "--id", "w1"], "config", "{missing}"),
+    (["verify", "--config", "{missing}", "--id", "w1"], "config", "{missing}"),
+    (["verify", "--catalog", "{missing}", "--id", "w1"], "catalog", "{missing}"),
+    (["verify", "--catalog", "", "--all"], "catalog", ""),  # not the built-in catalog
+    (["--config", "", "expand", "E(4)"], "config", ""),
+])
+def test_a_missing_file_is_a_usage_error(tmp_path, capsys, argv, what, name):
+    missing = str(tmp_path / "missing")
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: cannot read {what} file {name.format(missing=missing)!r}: "
+                   "No such file or directory\n")
+
+
 def test_verify_all_deterministic(capsys):
     args = ("verify", "--all", "--nmax", "12", "--prec", "64", "--format", "jsonl")
     code1, out1 = run(capsys, *args)

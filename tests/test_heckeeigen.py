@@ -1,8 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from qmforms import forms, linalg, oracle
+from qmforms import forms, linalg, linearize, oracle
 from qmforms.exactnum import FieldElement, QuadExt
 from qmforms.heckeeigen import (
     Registry,
@@ -12,7 +13,8 @@ from qmforms.heckeeigen import (
     multiplicativity_solve,
 )
 from qmforms.linalg import charpoly
-from qmforms.qseries import PrecisionError, QSeries
+from qmforms.linearize import decompose
+from qmforms.qseries import PrecisionError, QSeries, combine
 
 P = 128
 
@@ -77,10 +79,58 @@ def test_old_span_must_lie_in_space():
 
 def test_zero_dimensional_cusp_space():
     sb = forms.space_basis(4, 1, True, P)
-    assert sb.elements == ()
+    assert (sb.elements, sb.weights, sb.pivots) == ((), (), ())  # no weight to read
     assert hecke_matrix(sb, 2) == []
     assert extract_newforms(sb) == []
     assert multiplicativity_solve(sb) == []
+
+
+def test_a_space_basis_is_the_one_space_class():
+    assert linearize.QMBasis is forms.QMBasis
+    sb = forms.space_basis(4, 13, True, P)
+    assert isinstance(sb, forms.QMBasis)
+    assert (sb.weights, sb.level, sb.prec, sb.pivots) == ((4, 4, 4), 13, P, (1, 2, 3))
+    assert sb.echelon is forms._echelon(sb) and sb.echelon.rank == 3
+
+
+@pytest.mark.parametrize("k, n", [(4, 11), (4, 13)])
+def test_each_newform_recombines_in_the_cusp_space(reg, k, n):
+    sb = forms.space_basis(k, n, True, P)
+    for nf in reg.space_newforms(k, n):
+        coeffs = decompose(nf.series, sb).coefficients
+        assert combine(coeffs, sb.series()) == nf.series
+
+
+@pytest.mark.parametrize("k, n, cuspidal", [(4, 13, False), (4, 11, True), (6, 10, True),
+                                            (8, 5, True)])
+def test_hecke_charpoly_on_a_generator_pool(k, n, cuspidal):
+    # S_4(13)'s cusp pool spans but is not a basis; M_4(13)'s pool holds its newforms
+    pool = forms.generator_pool(k, n, cuspidal, P)
+    basis = forms.QMBasis(tuple(pool), (k,) * len(pool), n)
+    want = charpoly(hecke_matrix(forms.space_basis(k, n, cuspidal, P), 2))
+    assert charpoly(hecke_matrix(basis, 2)) == want
+
+
+def test_a_registry_build_echelonizes_each_cusp_space_once(monkeypatch):
+    built = []
+
+    class CountingEchelon(linalg.Echelon):
+        def __init__(self, rows):
+            rows = list(rows)
+            built.append(rows)
+            super().__init__(rows)
+
+    monkeypatch.setattr(linalg, "Echelon", CountingEchelon)
+    # fresh space and echelon stores, so nothing is served from earlier builds
+    monkeypatch.setattr(forms, "space_basis", lru_cache(forms.space_basis.__wrapped__))
+    monkeypatch.setattr(forms, "_echelon", lru_cache(forms._echelon.__wrapped__))
+    spaces = {key: forms.space_basis(*key, True, P).series() for key in forms._CUSP_POOLS}
+    built.clear()  # space_basis echelonizes its pool, which may already be the basis rows
+    reg = Registry(P)
+    for label in reg.labels():
+        reg.newform(label)
+    for key, rows in spaces.items():
+        assert sum(r == rows for r in built) == 1, key
 
 
 def test_dependent_old_span(reg):
@@ -97,7 +147,6 @@ def test_cross_precision_spaces_and_newforms(reg, reg512):
     for k, n in sorted(forms._CUSP_POOLS):  # the spaces Registry.space_newforms builds
         hi, lo = forms.space_basis(k, n, True, 512), forms.space_basis(k, n, True, P)
         assert hi.pivots == lo.pivots
-        assert hi.combos == lo.combos
         assert [(e, s.truncate(P)) for e, s in hi.elements] == list(lo.elements)
     for label in reg.labels():
         a, b = reg512.newform(label), reg.newform(label)

@@ -5,11 +5,11 @@ import pytest
 
 from qmforms import forms, linalg, oracle
 from qmforms.exactnum import IntegrityError
+from qmforms.forms import _echelon
 from qmforms.linearize import (
     QMBasis,
     build_H,
     build_lahiri,
-    _echelon,
     decompose,
     mixed_qm_basis,
     named_qm_basis,
@@ -148,7 +148,8 @@ def test_mixed_basis_size(reg):
 
 def test_mixed_basis_is_stored_by_sorted_weights(reg):
     b = mixed_qm_basis([10, 8], 1, P, reg)
-    assert mixed_qm_basis((8, 10), 1, P) is b
+    assert mixed_qm_basis((8, 10), 1, P) == b
+    assert mixed_qm_basis((8, 10), 1, P).echelon is b.echelon
     assert b.elements[:4] == named_qm_basis(8, 1, None, P, reg).elements
 
 
