@@ -33,17 +33,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirichletCharacter:
+    """chi(n) by rule: the Legendre symbol (n/modulus) if quadratic, else [gcd(n, modulus) = 1]."""
+
     modulus: int
-    values: tuple
     name: str
+    quadratic: bool
 
     def __call__(self, n: int) -> int:
-        return self.values[n % self.modulus]
+        m = self.modulus
+        if not self.quadratic:
+            return 1 if gcd(n, m) == 1 else 0
+        if n % m == 0:
+            return 0
+        return 1 if pow(n, (m - 1) // 2, m) == 1 else -1  # Euler's criterion
+
+    def values(self, n_max: int) -> list:
+        """chi(0), ..., chi(n_max); each residue below min(modulus, n_max + 1) is evaluated once."""
+        period = [self(c) for c in range(min(self.modulus, n_max + 1))]
+        return (period * (n_max // self.modulus + 1))[: n_max + 1]
 
     @property
     def parity(self) -> int:
         """Value at -1: +1 for even characters, -1 for odd ones."""
-        return self.values[-1 % self.modulus]
+        return self(-1)
 
     def is_trivial(self) -> bool:
         return self.modulus == 1
@@ -52,32 +64,22 @@ class DirichletCharacter:
         return self.name
 
 
-@lru_cache(maxsize=None)
 def trivial_character() -> DirichletCharacter:
     """The primitive character of modulus 1 (constant 1, including at 0)."""
-    return DirichletCharacter(1, (1,), "one")
+    return DirichletCharacter(1, "one", False)
 
 
-@lru_cache(maxsize=None)
 def principal_character(n: int) -> DirichletCharacter:
     if n < 1:
         raise ValueError("modulus must be positive")
-    if n == 1:
-        return trivial_character()
-    vals = tuple(1 if gcd(c, n) == 1 else 0 for c in range(n))
-    return DirichletCharacter(n, vals, f"chi0_{n}")
+    return DirichletCharacter(n, "one" if n == 1 else f"chi0_{n}", False)
 
 
-@lru_cache(maxsize=None)
 def quadratic_character(m: int) -> DirichletCharacter:
     """Legendre symbol character modulo an odd prime m."""
     if m % 2 == 0 or factorize(m) != [(m, 1)]:
         raise ValueError(f"unsupported modulus {m} for a quadratic character")
-    vals = [0] * m
-    for c in range(1, m):
-        e = pow(c, (m - 1) // 2, m)
-        vals[c] = 1 if e == 1 else -1
-    return DirichletCharacter(m, tuple(vals), f"chi{m}")
+    return DirichletCharacter(m, f"chi{m}", True)
 
 
 @lru_cache(maxsize=None)
@@ -89,8 +91,8 @@ def gen_bernoulli(chi: DirichletCharacter, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    m = chi.modulus
-    num = QSeries([Fraction(sum(chi(c) * c**j for c in range(m)), factorial(j)) for j in range(k + 1)])
+    m, vals = chi.modulus, chi.values(chi.modulus - 1)
+    num = QSeries([Fraction(sum(x * c**j for c, x in enumerate(vals)), factorial(j)) for j in range(k + 1)])
     den = QSeries([Fraction(m**j, factorial(j + 1)) for j in range(k + 1)])  # (e^{Mt} - 1) / (Mt)
     return Fraction((num * den.inverse()).coeff(k)) * factorial(k) / m
 
@@ -118,10 +120,10 @@ def sigma_twisted(psi: DirichletCharacter, phi: DirichletCharacter, k: int, n: i
 
 def sigma_twisted_table(psi: DirichletCharacter, phi: DirichletCharacter, k: int, n_max: int) -> list:
     """sigma_twisted(psi, phi, k, n) for n = 0..n_max, by one divisor sieve."""
-    pv = [psi(e) for e in range(n_max + 1)]
+    pv, fv = psi.values(n_max), phi.values(n_max)
     out = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
-        c = phi(d) * d**k
+        c = fv[d] * d**k
         if c:  # d contributes psi(e) c at every multiple m = e d
             out[d::d] = map(add, out[d::d], map(mul, pv[1 : n_max // d + 1], repeat(c)))
     return out
@@ -129,9 +131,7 @@ def sigma_twisted_table(psi: DirichletCharacter, phi: DirichletCharacter, k: int
 
 def twist(f: QSeries, chi: DirichletCharacter) -> QSeries:
     """Coefficientwise multiplication by chi(n)."""
-    vals = chi.values
-    m = chi.modulus
-    return f.pointwise([vals[n % m] for n in range(f.prec + 1)])
+    return f.pointwise(chi.values(f.prec))
 
 
 def twisted_level(level: int, chi: DirichletCharacter) -> int:

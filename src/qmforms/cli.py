@@ -222,8 +222,9 @@ def _cmd_tables(args, cfg: RunConfig) -> int:
         if args.check:
             ok = 0
             mismatches = []
+            nf = reg.tau(name)
             for n, want in sorted(entries.items()):
-                got = reg.tau(name, n)
+                got = nf.coefficient(n)
                 if got == want:
                     ok += 1
                 else:

@@ -765,14 +765,13 @@ def space_basis(weight: int, level: int, cuspidal: bool = False,
     dim = dimension(weight, level, cuspidal)
     pool = _build(_pool_texts(weight, level, cuspidal, _SPANNING_TAILS), prec)
     what = f"{'S' if cuspidal else 'M'}_{weight}(Gamma0({level}))"
-    ech = linalg.rref([s for _, s in pool])
+    ech = _echelon(QMBasis(tuple(pool), (weight,) * len(pool), level))
     if ech.rank < dim:
         raise ValueError(f"insufficient generator pool for {what}: rank {ech.rank} < {dim}")
     if ech.rank > dim:
         raise ValueError(f"dimension table violated for {what}: rank {ech.rank} > {dim}")
     exprs = [e for e, _ in pool]
-    elements = tuple((_combo_expr(c, exprs), QSeries(row))
-                     for c, row in zip(ech.transform, ech.rows))
+    elements = tuple((_combo_expr(c, exprs), row) for c, row in zip(ech.transform, ech.row_series))
     return QMBasis(elements, (weight,) * ech.rank, level)
 
 

@@ -59,7 +59,7 @@ class Newform:
         if n < 1:
             return 0
         if n <= self.series.prec:
-            return self.series.coeffs[n]  # callers sweep n: build the values once
+            return self.series.coeff(n)
         val = 1
         for p, e in factorize(n):
             if p > self.series.prec:
@@ -392,9 +392,6 @@ def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) ->
 # ---------------------------------------------------------------------------
 # the catalog of eigenforms used by the identity engine
 
-_TAU_ALIASES = {"tau": "12.1.1"}
-
-
 def _new_dimension(weight: int, level: int) -> int:
     """dim S_k^new(N), from dim S_k(N) = sum over M | N of sigma0(N/M) dim S_k^new(M)."""
     return forms.dimension(weight, level, cuspidal=True) - sum(
@@ -403,33 +400,12 @@ def _new_dimension(weight: int, level: int) -> int:
     )
 
 
-class _TauLookup:
-    """Registry.tau: eigenform coefficients by table-style name, e.g. tau_4_11_2.
-
-    tau(name, n) is the coefficient at n; tau.series(name) is the stored
-    expansion, for callers that sweep n.
-    """
-
-    def __init__(self, reg: "Registry"):
-        self._reg = reg
-
-    def newform(self, name: str) -> Newform:
-        return self._reg.newform(Registry.tau_label(name))
-
-    def __call__(self, name: str, n: int):
-        return self.newform(name).coefficient(n)
-
-    def series(self, name: str) -> QSeries:
-        return self.newform(name).series
-
-
 class Registry:
     """Cache of the newforms of every space with a cusp pool."""
 
     def __init__(self, prec: int = forms.DEFAULT_PREC):
         self.prec = prec
         self._spaces: dict = {}
-        self.tau = _TauLookup(self)
 
     def space_newforms(self, weight: int, level: int) -> list[Newform]:
         key = (weight, level)
@@ -461,16 +437,12 @@ class Registry:
         return sorted(f"{k}.{n}.{i + 1}" for k, n in forms._CUSP_POOLS
                       for i in range(_new_dimension(k, n)))
 
-    @staticmethod
-    def tau_label(name: str) -> str:
-        if name in _TAU_ALIASES:
-            return _TAU_ALIASES[name]
-        parts = name.split("_")
-        if parts[0] != "tau" or len(parts) not in (3, 4):
+    def tau(self, name: str) -> Newform:
+        """The newform of a table name: tau is 12.1.1, tau_k_N is k.N.1, tau_k_N_i is k.N.i."""
+        parts = (["tau", "12", "1"] if name == "tau" else name.split("_")) + ["1"]
+        if parts[0] != "tau" or len(parts) not in (4, 5):
             raise KeyError(f"unknown tau name {name!r}")
-        k, lvl = int(parts[1]), int(parts[2])
-        idx = int(parts[3]) if len(parts) == 4 else 1
-        return f"{k}.{lvl}.{idx}"
+        return self.newform(".".join(parts[1:4]))
 
 
 @lru_cache(maxsize=None)

@@ -153,12 +153,14 @@ def get_identity(ident: str) -> IdentitySpec:
 
 
 def _tau_term(term: RHSTerm, n_max: int, tau) -> QSeries:
-    """tau(label, m) at n = d*m for m = 1..n_max // d, sliced from the eigenform's integer parts.
+    """The eigenform's a(m) at n = d*m for m = 1..n_max // d, sliced from its integer parts.
 
-    Only the m above the stored precision go through the per-m lookup.
+    Only the m above the stored precision are read one by one, through
+    `Newform.coefficient`, which extends them multiplicatively.
     """
     d, top = term.d, n_max // term.d
-    f = tau.series(term.label)
+    nf = tau(term.label)
+    f = nf.series
     k = min(top, f.prec)
 
     def spread(xs):
@@ -169,7 +171,7 @@ def _tau_term(term: RHSTerm, n_max: int, tau) -> QSeries:
     s = _make(n_max, f.ext, spread(f.num), f.unum and spread(f.unum), f.den)
     if top > k:
         vec = [0] * (n_max + 1)
-        vec[(k + 1) * d :: d] = [tau(term.label, m) for m in range(k + 1, top + 1)]
+        vec[(k + 1) * d :: d] = [nf.coefficient(m) for m in range(k + 1, top + 1)]
         s = s + QSeries(vec, ext=f.ext)
     return s
 
@@ -193,7 +195,7 @@ def _term_series(term: RHSTerm, n_max: int, tau) -> QSeries:
 def rhs_sweep(spec: IdentitySpec, n_max: int, tau) -> QSeries:
     """The closed form at n = 0..n_max as one series (0 at n = 0), possibly over Q(t).
 
-    tau is a registry's eigenform lookup, `Registry.tau`.
+    tau maps a table name to its newform: a registry's `Registry.tau`.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -225,17 +227,14 @@ def lhs_sweep(spec: IdentitySpec, n_max: int) -> list[int]:
     return oracle.lahiri_range(avec, bvec, nvec, n_max)
 
 
-def verify(spec: IdentitySpec, n_max: int | None = None, tau=None) -> Report:
+def verify(spec: IdentitySpec, n_max: int | None, tau) -> Report:
     """Compare scalar * oracle(lhs, n) with the closed form for n = 1..n_max.
 
-    Both sides are swept once and compared in integers; Fractions are built
-    only for the failing n.
+    n_max None is the catalog bound; tau is as for `rhs_sweep`.  Both sides
+    are swept once and compared in integers; Fractions are built only for
+    the failing n.
     """
     n_max = spec.nmax if n_max is None else n_max
-    if tau is None:
-        from .heckeeigen import registry
-
-        tau = registry(max(256, n_max)).tau
     lhs = lhs_sweep(spec, n_max)
     num, den = _rational_parts(spec, rhs_sweep(spec, n_max, tau), 1)
     # scalar * lhs == num / den  <=>  sn * den * lhs == sd * num

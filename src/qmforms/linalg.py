@@ -121,24 +121,28 @@ class Echelon:
             self.tseries.append(_make(n - 1, ext, a, b, s0))
         self.pivots, self.rank = tuple(pivots), len(pivots)
 
-    @cached_property
+    @property
     def transform(self):
-        """T as a list of value lists, one per row."""
+        """T as a list of value lists, one per row, built on each read."""
         return [list(tk.coeffs) for tk in self.tseries]
 
     @cached_property
+    def row_series(self):
+        """The nonzero rows of R as series."""
+        return [combine(tk.coeffs, self.series, self.ncols - 1) for tk in self.tseries[: self.rank]]
+
+    @property
     def rows(self):
-        """The nonzero rows of R."""
-        return [list(combine(tk.coeffs, self.series, self.ncols - 1).coeffs)
-                for tk in self.tseries[: self.rank]]
+        """The nonzero rows of R as value lists, built from `row_series` on each read."""
+        return [list(r.coeffs) for r in self.row_series]
 
     def kernel(self):
         """Basis of the right kernel {x : A x = 0}, one vector per free column."""
-        basis = []
+        basis, rows = [], self.rows
         for fc in (c for c in range(self.ncols) if c not in self.pivots):
             v = [Fraction(0)] * self.ncols
             v[fc] = Fraction(1)
-            for row, pc in zip(self.rows, self.pivots):
+            for row, pc in zip(rows, self.pivots):
                 v[pc] = -row[fc]
             basis.append(v)
         return basis

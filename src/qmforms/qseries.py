@@ -7,10 +7,10 @@ the integral generator of the quadratic descriptor ext (None over Q), with
 u**2 = P*u + N for the ints (P, N) = exactnum.ext_ints(ext).  unum is None
 when every u-part is zero.  Every ring operation is integer vector
 arithmetic on these parts; a product is one big-int multiply (three over
-Q(t)).  `coeffs` builds the values once, on first read: ints where
-integral, Fractions otherwise, FieldElements only where the u-part is
-nonzero; `coeff(n)` builds only its own value until then.  Reads beyond the
-stored precision raise, they never return zero silently.
+Q(t)).  The parts are all a series stores: `coeffs` builds the values on
+each read, ints where integral, Fractions otherwise, FieldElements only
+where the u-part is nonzero, and `coeff(n)` builds only its own value.
+Reads beyond the stored precision raise, they never return zero silently.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _make(prec, ext, num, unum=None, den=1) -> "QSeries":
 
 
 class QSeries:
-    __slots__ = ("prec", "ext", "num", "unum", "den", "_coeffs")
+    __slots__ = ("prec", "ext", "num", "unum", "den")
 
     def __init__(self, coeffs, prec=None, ext=None):
         coeffs = list(coeffs)
@@ -106,26 +106,22 @@ class QSeries:
             g = gcd(den, *num, *(unum or ())) * (-1 if den < 0 else 1)
             if g != 1:
                 num, unum, den = [x // g for x in num], unum and [x // g for x in unum], den // g
-        self.prec, self.ext, self.num, self.den, self._coeffs = prec, ext, tuple(num), den, None
+        self.prec, self.ext, self.num, self.den = prec, ext, tuple(num), den
         self.unum = unum and tuple(unum)
 
     # -- access -----------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as values, built on first read."""
-        if self._coeffs is None:
-            self._coeffs = join_parts(self.num, self.unum, self.den, self.ext)
-        return self._coeffs
+        """The coefficients as values, built from the parts on each read."""
+        return join_parts(self.num, self.unum, self.den, self.ext)
 
     def coeff(self, n: int):
         if n < 0:
             return 0
         if n > self.prec:
             raise PrecisionError(f"coefficient {n} beyond precision {self.prec}")
-        if self._coeffs is None:  # one value, read from the parts
-            return join_parts((self.num[n],), self.unum and (self.unum[n],), self.den, self.ext)[0]
-        return self._coeffs[n]
+        return join_parts((self.num[n],), self.unum and (self.unum[n],), self.den, self.ext)[0]
 
     def coeff_list(self, upto=None):
         upto = self.prec if upto is None else upto

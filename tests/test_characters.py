@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -15,7 +16,7 @@ from qmforms.characters import (
     twist,
     twisted_level,
 )
-from qmforms.forms import eisenstein
+from qmforms.forms import eisenstein, evaluate, parse_expr
 
 
 def test_character_values():
@@ -138,3 +139,14 @@ def test_twisted_level():
     assert twisted_level(3, chi3) == 9
     assert twisted_level(2, chi3) == 18
     assert twisted_level(5, trivial_character()) == 5
+
+
+def test_a_large_modulus_is_evaluated_by_rule():
+    # a table of the character would cost the modulus; read by rule it costs prec + 1 values
+    t0 = time.perf_counter()
+    f = evaluate(parse_expr("twist(E(4),chi1000003)"), 64)
+    assert time.perf_counter() - t0 < 0.5
+    assert principal_character(20000000).values(4) == [0, 1, 0, 1, 0]
+    legendre_symbol = pytest.importorskip("sympy").legendre_symbol
+    e4 = eisenstein(4, 1, 64)
+    assert f.coeff_list() == [legendre_symbol(n, 1000003) * e4.coeff(n) for n in range(65)]

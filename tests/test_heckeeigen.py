@@ -124,13 +124,14 @@ def test_a_registry_build_echelonizes_each_cusp_space_once(monkeypatch):
     # fresh space and echelon stores, so nothing is served from earlier builds
     monkeypatch.setattr(forms, "space_basis", lru_cache(forms.space_basis.__wrapped__))
     monkeypatch.setattr(forms, "_echelon", lru_cache(forms._echelon.__wrapped__))
-    spaces = {key: forms.space_basis(*key, True, P).series() for key in forms._CUSP_POOLS}
-    built.clear()  # space_basis echelonizes its pool, which may already be the basis rows
     reg = Registry(P)
     for label in reg.labels():
         reg.newform(label)
-    for key, rows in spaces.items():
-        assert sum(r == rows for r in built) == 1, key
+    # counted from before space_basis: where the pool is already in echelon form,
+    # the pool's echelon is the space's
+    spaces = {key: forms.space_basis(*key, True, P).series() for key in forms._CUSP_POOLS}
+    counts = {key: sum(r == rows for r in built) for key, rows in spaces.items()}
+    assert counts == dict.fromkeys(spaces, 1)
 
 
 def test_dependent_old_span(reg):
@@ -289,9 +290,13 @@ def test_registry_labels_and_tau(reg):
     labels = reg.labels()
     assert "4.11.2" in labels and "6.10.3" in labels and "12.1.1" in labels
     assert len(labels) == 24
-    assert reg.tau("tau", 6) == -6048
-    assert reg.tau("tau_4_7", 19) == -110
-    assert reg.tau("tau_8_5_2", 5) == -125
+    assert reg.tau("tau").coefficient(6) == -6048
+    assert reg.tau("tau_4_7").coefficient(19) == -110
+    assert reg.tau("tau_8_5_2").coefficient(5) == -125
+    assert reg.tau("tau_4_11_2") is reg.newform("4.11.2") and reg.tau("tau_4_7") is reg.newform("4.7.1")
+    for name in ("tau_4", "tau_4_11_2_1", "sigma_4_11", "4.11.2"):
+        with pytest.raises(KeyError):
+            reg.tau(name)
 
 
 def test_newform_serialization(reg):

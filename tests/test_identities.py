@@ -59,8 +59,8 @@ def test_rhs_tau_part_is_a_trace(reg):
     spec = idn.get_identity("w11")
     t1, t2 = [t for t in spec.rhs if t.kind == "tau"]
     for n in (1, 2, 7, 12):
-        a = t1.coeff * reg.tau("tau_4_11_1", n)
-        total = a + t2.coeff * reg.tau("tau_4_11_2", n)
+        a = t1.coeff * reg.tau("tau_4_11_1").coefficient(n)
+        total = a + t2.coeff * reg.tau("tau_4_11_2").coefficient(n)
         assert total == trace(a)
 
 
@@ -143,7 +143,7 @@ def reference_rhs(spec, n, tau):
         scale = n**term.npow if term.npow else 1
         if term.kind == "tau":
             if n % term.d == 0:
-                val = tau(term.label, n // term.d)
+                val = tau(term.label).coefficient(n // term.d)
                 if val:
                     total = total + term.coeff * scale * val
             continue
