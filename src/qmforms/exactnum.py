@@ -2,8 +2,10 @@
 
 Scalars are Python ints, fractions.Fraction, or FieldElement.  A quadratic
 field is fixed by the pair (p, q) of its defining polynomial X**2 - p*X - q;
-two descriptors denote the same field only if (p, q) match literally.  All
-values are immutable and all operations are pure.
+two descriptors denote the same field only if (p, q) match literally.  p and
+q are ints, so t is an algebraic integer and the integer parts below are
+over Z[t]: the engine uses Q(t) only for Hecke eigenvalues, which are
+algebraic integers.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "scale_parts",
     "split_parts",
     "join_parts",
-    "fraction_sqrt",
     "conj",
     "trace",
     "factorize",
@@ -62,50 +63,31 @@ def as_fraction(x):
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
 
 
-def fraction_sqrt(x):
-    """Exact square root of a nonnegative rational, or None if not a square."""
-    x = as_fraction(x)
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _fmt_frac(x) -> str:
-    x = as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class QuadExt:
-    """Real quadratic field Q(t), t a root of X**2 - p*X - q."""
+    """Real quadratic field Q(t), t a root of X**2 - p*X - q with ints p and q."""
 
-    p: Fraction
-    q: Fraction
+    p: int
+    q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(self, "q", as_fraction(self.q))
-        d = self.disc
+        p, q = as_fraction(self.p), as_fraction(self.q)
+        if p.denominator != 1 or q.denominator != 1:
+            raise ValueError(f"descriptor ({p},{q}) is not integral")
+        object.__setattr__(self, "p", int(p))
+        object.__setattr__(self, "q", int(q))
+        d = self.p * self.p + 4 * self.q
         if d <= 0:
             raise ValueError(f"descriptor {self} is not a real quadratic field")
-        if fraction_sqrt(d) is not None:
+        if isqrt(d) ** 2 == d:
             raise ValueError(f"X^2 - {self.p}X - {self.q} is reducible over Q")
-
-    @property
-    def disc(self) -> Fraction:
-        return self.p * self.p + 4 * self.q
 
     def gen(self) -> "FieldElement":
         """The generator t with t**2 = p*t + q."""
         return FieldElement(0, 1, self)
 
     def __str__(self) -> str:
-        return f"({_fmt_frac(self.p)},{_fmt_frac(self.q)})"
+        return f"({self.p},{self.q})"
 
 
 class FieldElement:
@@ -218,11 +200,10 @@ class FieldElement:
 
 # -- integer parts ------------------------------------------------------------
 #
-# A vector of values x_i = (a_i + b_i*u) / d is held as int lists a and b over
-# one denominator d > 0, b None when every u-part is zero.  Over Q(t), u = e*t
-# for e the least common denominator of p and q, so u**2 = P*u + N with ints
-# P = e*p, N = e*e*q and no arithmetic on parts needs e: only split_parts and
-# join_parts convert between t and u.  Series and echelon rows use these parts.
+# A vector of values x_i = (a_i + b_i*t) / d is held as int lists a and b over
+# one denominator d > 0, b None when every t-part is zero.  With t**2 = p*t + q
+# for the ints (p, q) of the descriptor, no arithmetic on parts leaves the
+# ints.  Series and echelon rows use these parts.
 
 
 def join_ext(e1, e2):
@@ -234,19 +215,13 @@ def join_ext(e1, e2):
     raise FieldMismatch(f"incompatible descriptors {e1} and {e2}")
 
 
-def _clearing(ext: QuadExt) -> int:
-    """e with u = e*t: the least common denominator of p and q."""
-    return lcm(ext.p.denominator, ext.q.denominator)
-
-
 def ext_ints(ext):
-    """(P, N) with u**2 = P*u + N for u = e*t; (0, 0) over Q (ext None)."""
-    e = ext and _clearing(ext)
-    return (int(e * ext.p), int(e * e * ext.q)) if e else (0, 0)
+    """(P, N) with t**2 = P*t + N; (0, 0) over Q (ext None)."""
+    return (ext.p, ext.q) if ext else (0, 0)
 
 
 def scale_parts(c, row, P: int, N: int):
-    """c*row over Z[u], u**2 = P*u + N, for c = (c0, c1) and row = (a, b); c1 or b falsy is 0."""
+    """c*row over Z[t], t**2 = P*t + N, for c = (c0, c1) and row = (a, b); c1 or b falsy is 0."""
     (c0, c1), (a, b) = c, row
     if not c1:
         return [c0 * x for x in a], b and [c0 * y for y in b]
@@ -259,8 +234,8 @@ def scale_parts(c, row, P: int, N: int):
 def split_parts(xs, ext=None):
     """Integer parts (a, b, d, ext) of the values xs, d the least common denominator.
 
-    x + y*t has the parts of x + (y/e)*u.  ext is joined with the descriptor of
-    every FieldElement.  Raises TypeError on a value that is not exact.
+    ext is joined with the descriptor of every FieldElement.  Raises TypeError
+    on a value that is not exact.
     """
     dens, quad = set(), False
     for x in xs:
@@ -270,29 +245,25 @@ def split_parts(xs, ext=None):
             dens.add(x.denominator)
         elif isinstance(x, FieldElement):
             ext = join_ext(ext, x.ext)
-            dens.add(x.a.denominator)
+            dens.update((x.a.denominator, x.b.denominator))
             quad = quad or x.b != 0
         else:
             raise TypeError(f"expected an exact value, got {type(x).__name__}")
     if not dens:
         return list(xs), None, 1, ext
-    if quad:
-        e = _clearing(ext)  # once per call; every descriptor the engine builds has e = 1
-        ys = [(x.b if e == 1 else x.b / e) if isinstance(x, FieldElement) else 0 for x in xs]
-        dens.update(y.denominator for y in ys)
     d = lcm(*dens)
     a = [x.a if isinstance(x, FieldElement) else x for x in xs]
     a = [x.numerator * (d // x.denominator) for x in a]
-    b = [y.numerator * (d // y.denominator) for y in ys] if quad else None
+    b = [x.b.numerator * (d // x.b.denominator) if isinstance(x, FieldElement) else 0
+         for x in xs] if quad else None
     return a, b, d, ext
 
 
 def join_parts(a, b, d: int, ext) -> tuple:
-    """The values (a_i + b_i*u) / d: ints where integral, FieldElements only where b_i != 0."""
+    """The values (a_i + b_i*t) / d: ints where integral, FieldElements only where b_i != 0."""
     if d == 1 and b is None:
         return tuple(a)
-    e = _clearing(ext) if b else 1
-    return tuple(FieldElement(Fraction(x, d), Fraction(e * y, d), ext) if y else x // d if x % d == 0
+    return tuple(FieldElement(Fraction(x, d), Fraction(y, d), ext) if y else x // d if x % d == 0
                  else Fraction(x, d) for x, y in zip(a, b or repeat(0)))
 
 
@@ -473,25 +444,27 @@ def factor_small(coeffs):
 
 # -- serialization -----------------------------------------------------------
 #
-# Field elements print as "a" or "a+b*t@(p,q)" with each part a lowest-terms
-# fraction "num/den" (integers drop the "/den").  format_parts writes these
-# strings straight from integer parts, one gcd per part, and is the only
-# formatter: format_element splits its one value into parts first.
+# Field elements print as "a" or "a+b*t@(p,q)" with a and b lowest-terms
+# fractions "num/den" (integers drop the "/den") and p, q ints; parse_element
+# reads fractions there too, so a fractional descriptor fails as not integral.
+# format_parts writes these strings straight from integer parts, one gcd per
+# part, and is the only formatter: format_element splits its one value into
+# parts first.
 
 _FRAC = r"-?\d+(?:/\d+)?"
 _ELEM_RE = re.compile(rf"^({_FRAC})\+({_FRAC})\*t@\(({_FRAC}),({_FRAC})\)$")
 
 
 def format_parts(num, unum, den: int, ext) -> list[str]:
-    """The strings of the values (num[i] + unum[i]*u) / den; the t-part is e*unum[i]/den."""
+    """The strings of the values (num[i] + unum[i]*t) / den."""
     def frac(x):
         g = gcd(x, den)
         return str(x // g) if g == den else f"{x // g}/{den // g}"
 
     if not unum:
         return list(map(str if den == 1 else frac, num))
-    e, tail = _clearing(ext), f"*t@{ext}"
-    return [f"{frac(x)}+{frac(e * y)}{tail}" if y else frac(x) for x, y in zip(num, unum)]
+    tail = f"*t@{ext}"
+    return [f"{frac(x)}+{frac(y)}{tail}" if y else frac(x) for x, y in zip(num, unum)]
 
 
 def format_element(x) -> str:

@@ -51,8 +51,12 @@ class Newform:
     label: str
     weight: int
     level: int
-    ext: QuadExt | None
     series: QSeries
+
+    @property
+    def ext(self) -> QuadExt | None:
+        """The coefficient field, as the series holds it (None over Q)."""
+        return self.series.ext
 
     def coefficient(self, n: int):
         """Fourier coefficient, extended multiplicatively beyond the expansion."""
@@ -129,7 +133,7 @@ def hecke_matrix(space: forms.QMBasis, p: int, fs=None):
 
 
 def _split(space, is_old, fs=None, prime_idx=0):
-    """Eigenforms (ext, series) on the Hecke-stable span of fs, old ones dropped.
+    """Eigenform series on the Hecke-stable span of fs, old ones dropped.
 
     fs defaults to the series of the whole space.  Each eigenspace of T_p is
     kept as series, combine(kernel vector, fs): one series is an eigenform,
@@ -149,7 +153,7 @@ def _split(space, is_old, fs=None, prime_idx=0):
         if len(gs) > 1:
             out += _split(space, is_old, gs, prime_idx + 1)
         elif not is_old(gs[0]):
-            out.append((None, gs[0]))
+            out.append(gs[0])
     for qf in quads:
         kern = linalg.nullspace(_poly_of_matrix(qf, op))
         if len(kern) != 2:
@@ -160,11 +164,10 @@ def _split(space, is_old, fs=None, prime_idx=0):
             raise ValueError(
                 f"quadratic eigenvalue factor X^2-{qf.p}X-{qf.q} is not totally real"
             )
-        ext = qf.ext()
-        kern = linalg.nullspace(_shift(op, ext.gen()))
+        kern = linalg.nullspace(_shift(op, qf.ext().gen()))
         if len(kern) != 1:
             raise ValueError("quadratic eigenvalue is not simple")
-        out.append((ext, combine(kern[0], fs)))
+        out.append(combine(kern[0], fs))
     return out
 
 
@@ -197,10 +200,9 @@ def extract_newforms(space: forms.QMBasis, old_span=()) -> list[Newform]:
         return old.coords(f)[1] is None
 
     parts = []
-    for ext, f in _split(space, is_old):
-        v = f.valuation()
-        lead = f.coeff(v)
-        parts.append((ext, f if lead == 1 else (Fraction(1) / lead) * f))
+    for f in _split(space, is_old):
+        lead = f.coeff(f.valuation())
+        parts.append(f if lead == 1 else (Fraction(1) / lead) * f)
     nfs = _label_sorted(parts, space.weights[0], space.level)
     expected = len(space) - old.rank
     if len(nfs) != expected:
@@ -215,13 +217,11 @@ def _sort_key(series: QSeries):
 
 def _label_sorted(parts, weight: int, level: int) -> list[Newform]:
     """Rational newforms by descending a(2..12), then each quadratic one after its conjugate."""
-    rationals = [(ext, s) for ext, s in parts if ext is None]
-    quads = [(ext, g) for ext, s in parts if ext is not None for g in (s.conj(), s)]
-    rationals.sort(key=lambda p: _sort_key(p[1]), reverse=True)
-    ordered = rationals + quads
+    rationals = sorted((s for s in parts if s.ext is None), key=_sort_key, reverse=True)
+    quads = [g for s in parts if s.ext is not None for g in (s.conj(), s)]
     out = []
-    for i, (ext, s) in enumerate(ordered):
-        nf = Newform(f"{weight}.{level}.{i + 1}", weight, level, ext, s)
+    for i, s in enumerate(rationals + quads):
+        nf = Newform(f"{weight}.{level}.{i + 1}", weight, level, s)
         _validate_newform(nf)
         out.append(nf)
     return out
@@ -261,7 +261,7 @@ def multiplicativity_solve(space: forms.QMBasis) -> list[Newform]:
             continue
         seen.append(key)
         if _multiplicative_ok(f, weight, level):
-            parts.append((f.ext, f))
+            parts.append(f)
     return _label_sorted(parts, weight, level)
 
 
@@ -363,8 +363,8 @@ def _poly_gcd(a, b):
 def _multiplicative_ok(f: QSeries, weight: int, level: int, bound: int = 200) -> bool:
     """a(mn) = a(m) a(n) for coprime m, n and the Hecke relation at p^2, up to q^bound.
 
-    Checked on the integer parts a(n) = (x_n + y_n u) / d, u^2 = P u + N:
-    d (x_k + y_k u) = (x_i + y_i u)(x_j + y_j u) - c d^2.
+    Checked on the integer parts a(n) = (x_n + y_n t) / d, t^2 = P t + N:
+    d (x_k + y_k t) = (x_i + y_i t)(x_j + y_j t) - c d^2.
     """
     bound = min(f.prec, bound)
     x, d = f.num, f.den
@@ -429,9 +429,14 @@ class Registry:
                 for d in oracle.divisors(level // m)]
 
     def newform(self, label: str) -> Newform:
+        """The newform labelled weight.level.index, the index counted from 1."""
         parts = label.split(".")
-        weight, level, idx = int(parts[0]), int(parts[1]), int(parts[2])
-        return self.space_newforms(weight, level)[idx - 1]
+        if len(parts) == 3 and all(x.isdecimal() for x in parts):
+            weight, level, idx = map(int, parts)
+            nfs = self.space_newforms(weight, level)
+            if 1 <= idx <= len(nfs):
+                return nfs[idx - 1]
+        raise KeyError(f"unknown newform label {label!r}")
 
     def labels(self) -> list[str]:
         return sorted(f"{k}.{n}.{i + 1}" for k, n in forms._CUSP_POOLS
@@ -440,9 +445,12 @@ class Registry:
     def tau(self, name: str) -> Newform:
         """The newform of a table name: tau is 12.1.1, tau_k_N is k.N.1, tau_k_N_i is k.N.i."""
         parts = (["tau", "12", "1"] if name == "tau" else name.split("_")) + ["1"]
-        if parts[0] != "tau" or len(parts) not in (4, 5):
-            raise KeyError(f"unknown tau name {name!r}")
-        return self.newform(".".join(parts[1:4]))
+        if parts[0] == "tau" and len(parts) in (4, 5):
+            try:
+                return self.newform(".".join(parts[1:4]))
+            except KeyError:
+                pass
+        raise KeyError(f"unknown tau name {name!r}")
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ Matrix entries are ints, Fractions or FieldElements, given as rows that are
 sequences of values or QSeries.  Every elimination in the engine goes through
 one routine, `Echelon`; `rref`, `solve` and `nullspace` are thin entries to
 it.  `Echelon` eliminates fraction-free on the rows' integer parts as the
-QSeries holds them, over Z or over Z[u] (u**2 = P*u + N, exactnum.ext_ints),
+QSeries holds them, over Z or over Z[t] (t**2 = P*t + N, exactnum.ext_ints),
 and turns each row of its transform T into a QSeries once, at the end;
 values are built only where a caller reads them.
 """
@@ -24,7 +24,7 @@ __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
 
 def _at(row, col, P, N):
-    """row·col in Z[u], u**2 = P*u + N; a vector is a pair of int lists (u-part None if zero)."""
+    """row·col in Z[t], t**2 = P*t + N; a vector is a pair of int lists (t-part None if zero)."""
     (a, b), (x, y) = row, col
     v0 = sum(map(mul, a, x))
     v1 = sum(map(mul, a, y)) if y else 0
@@ -37,7 +37,7 @@ def _at(row, col, P, N):
 
 
 def _eliminate(p, row, f, prow, P, N):
-    """p·row - f·prow over Z[u], divided by the gcd of its integer entries."""
+    """p·row - f·prow over Z[t], divided by the gcd of its integer entries."""
     if p[1] or f[1] or row[1] or prow[1]:
         (a, b), (c, d) = scale_parts(p, row, P, N), scale_parts(f, prow, P, N)
         a = [x - y for x, y in zip(a, c)]
@@ -65,12 +65,12 @@ class Echelon:
     PrecisionError, a longer one is read only that far.
 
     The elimination is fraction-free.  Input row j, the QSeries
-    (num_j + unum_j*u) / den_j, is the integer row A'_j over Z[u] (Z over Q)
+    (num_j + unum_j*t) / den_j, is the integer row A'_j over Z[t] (Z over Q)
     scaled by 1/den_j, read as stored.  It runs on A' with integer T' rows:
     each row updates as p*row - f*row_r for the pivot value p and the row's
     value f, then is divided by the gcd of its entries.  Each row of T' stays
     a multiple of the matching row of T, so the pivots are the same.  At the
-    end each row is scaled back once: a pivot row by its pivot value (in Z[u]
+    end each row is scaled back once: a pivot row by its pivot value (in Z[t]
     by the conjugate over the norm), a kernel row so that the entry at its
     own input row is 1, as the elimination over values leaves it.
     """
@@ -115,7 +115,7 @@ class Echelon:
                 s0, s1 = _at(t[i], pcols[i], P, N)
             else:
                 s0, s1 = a[start[i]], b[start[i]] if b else 0
-            if s1:  # times the conjugate s0 + P*s1 - s1*u, over the norm
+            if s1:  # times the conjugate s0 + P*s1 - s1*t, over the norm
                 a, b = scale_parts((s0 + P * s1, -s1), (a, b), P, N)
                 s0 = s0 * s0 + P * s0 * s1 - N * s1 * s1
             self.tseries.append(_make(n - 1, ext, a, b, s0))

@@ -68,12 +68,6 @@ def _derive(expr, i: int):
     return forms.call("D", i, expr) if i else expr
 
 
-@lru_cache(maxsize=None)
-def _derived(series: QSeries, i: int) -> QSeries:
-    """D^i(series), built once per series value and shared by every basis that has it."""
-    return series.derive(i)
-
-
 def _check_registry(prec: int, registry) -> None:
     if registry is not None and registry.prec != prec:
         raise ValueError(f"registry precision {registry.prec} differs from basis precision {prec}")
@@ -103,11 +97,10 @@ def _named_qm_basis(weight: int, level: int, depth_cap: int, prec: int) -> QMBas
         if forms.dimension(w, level) == 0:
             continue
         for expr, series in forms.generator_pool(w, level, False, prec):
-            elems.append((_derive(expr, i), _derived(series, i)))
+            elems.append((_derive(expr, i), series.derive(i)))
             weights.append(weight)
     if weight // 2 <= depth_cap:
-        # E2 from the pool-text store: every D^i(E2) is then keyed by one series
-        e2 = _derived(forms._text_form("E(2)", prec)[1], weight // 2 - 1)
+        e2 = forms.eisenstein(2, 1, prec).derive(weight // 2 - 1)
         elems.append((_derive(forms.call("E", 2, 1), weight // 2 - 1), e2))
         weights.append(weight)
     return QMBasis(tuple(elems), tuple(weights), level)

@@ -1,15 +1,15 @@
 """Truncated formal power series in q with exact coefficients.
 
 A QSeries holds the coefficients of q^0 .. q^prec in one normal form: the
-coefficient of q^n is (num[n] + unum[n]*u) / den with int numerators, one
-positive int denominator coprime to the numerators as a whole, and u = e*t
-the integral generator of the quadratic descriptor ext (None over Q), with
-u**2 = P*u + N for the ints (P, N) = exactnum.ext_ints(ext).  unum is None
-when every u-part is zero.  Every ring operation is integer vector
+coefficient of q^n is (num[n] + unum[n]*t) / den with int numerators, one
+positive int denominator coprime to the numerators as a whole, and t the
+generator of the quadratic descriptor ext (None over Q), with t**2 = P*t + N
+for the ints (P, N) = exactnum.ext_ints(ext).  unum holds the t-parts and is
+None when every t-part is zero.  Every ring operation is integer vector
 arithmetic on these parts; a product is one big-int multiply (three over
 Q(t)).  The parts are all a series stores: `coeffs` builds the values on
 each read, ints where integral, Fractions otherwise, FieldElements only
-where the u-part is nonzero, and `coeff(n)` builds only its own value.
+where the t-part is nonzero, and `coeff(n)` builds only its own value.
 Reads beyond the stored precision raise, they never return zero silently.
 """
 
@@ -99,7 +99,7 @@ class QSeries:
         self._set(prec, ext, num + pad, None if unum is None else unum + pad, den)
 
     def _set(self, prec, ext, num, unum, den):
-        """Store (num + unum*u) / den in normal form, den made positive."""
+        """Store (num + unum*t) / den in normal form, den made positive."""
         if unum is not None and not any(unum):
             unum = None
         if den != 1:
@@ -209,7 +209,7 @@ class QSeries:
             return _make(p, ext, aa, None, den)
         if b1 is None or b2 is None:
             return _make(p, ext, aa, _int_product(a1, b2) if b1 is None else _int_product(b1, a2), den)
-        # (a1 + b1 u)(a2 + b2 u) with u^2 = P u + N, from three int products
+        # (a1 + b1 t)(a2 + b2 t) with t^2 = P t + N, from three int products
         bb = _int_product(b1, b2)
         s1 = [x + y for x, y in zip(a1, b1)]
         ss = _int_product(s1, s1 if a2 is a1 and b2 is b1 else [x + y for x, y in zip(a2, b2)])
@@ -237,7 +237,7 @@ class QSeries:
                      u and [w * y for w, y in zip(ws, u)], self.den)
 
     def conj(self) -> "QSeries":
-        """Apply the quadratic conjugation t -> p - t, so u -> P - u, to every coefficient."""
+        """Apply the quadratic conjugation t -> P - t to every coefficient."""
         if self.unum is None:
             return self
         P, _ = ext_ints(self.ext)
@@ -340,9 +340,9 @@ def combine(cs, series, prec=None) -> QSeries:
     """sum c_i * f_i, at precision prec or the smallest of the f_i.
 
     One pass per part of each term, over one denominator: with
-    c_i = (x_i + y_i u) / d, f_i = (X_i + Y_i u) / d_i, L the lcm of the d_i
-    and u^2 = P u + N, the sum times d L is
-    sum (L / d_i) (x_i X_i + N y_i Y_i + (y_i X_i + (x_i + P y_i) Y_i) u).
+    c_i = (x_i + y_i t) / d, f_i = (X_i + Y_i t) / d_i, L the lcm of the d_i
+    and t^2 = P t + N, the sum times d L is
+    sum (L / d_i) (x_i X_i + N y_i Y_i + (y_i X_i + (x_i + P y_i) Y_i) t).
     """
     prec = min(f.prec for f in series) if prec is None else prec
     terms = [(c, f) for c, f in zip(cs, series) if c]

@@ -253,6 +253,17 @@ def test_integrity_error_exit_code(tmp_path, capsys):
     assert main(["verify", "--catalog", str(path)]) == 2
 
 
+def test_a_fractional_descriptor_in_a_catalog_is_a_usage_error(tmp_path, capsys):
+    records = json.loads(resources.files("qmforms.data").joinpath("identities.json").read_text())
+    w11 = next(r for r in records if r["id"] == "w11")
+    w11["rhs"][-2]["c"]["p"] = "1/2"
+    path = tmp_path / "identities.json"
+    path.write_text(json.dumps(records))
+    assert main(["verify", "--all", "--catalog", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: descriptor (1/2,2) is not integral\n"
+
+
 @pytest.mark.parametrize("text, named", [
     ("eta(0^24)", "d >= 1"),
     ("root(E(4),0)", "argument 2 of root"),

@@ -80,6 +80,21 @@ def test_descriptor_must_be_real_and_irreducible():
         QuadExt(3, -2)       # (X-1)(X-2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: QuadExt(Fraction(1, 3), Fraction(5, 2)),
+    lambda: QuadExt(Fraction(1, 2), 3),
+    lambda: parse_element("1+1*t@(1/3,5/2)"),
+])
+def test_descriptor_must_be_integral(make):
+    with pytest.raises(ValueError, match="not integral"):
+        make()
+
+
+def test_descriptor_holds_ints():
+    for ext in (QuadExt(2, 2), QuadExt(Fraction(4, 2), Fraction(2))):
+        assert (type(ext.p), type(ext.q)) == (int, int) and ext == QuadExt(2, 2)
+
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
@@ -170,14 +185,14 @@ def test_serialization_examples():
 
 # -- one formatter: format_parts on integer parts ----------------------------
 
-SIXTH = QuadExt(Fraction(1, 3), Fraction(5, 2))  # u = 6t
+WIDE = QuadExt(2, 90)  # t^2 = 2t + 90: P != 0 and a large N
 part_ints = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
 
 
 @st.composite
 def integer_parts(draw):
     """(num, unum, den, ext): over Q with den 1 or den > 1, or over Q(t), zeros and negatives included."""
-    ext = draw(st.sampled_from([None, QuadExt(1, 3), SIXTH]))
+    ext = draw(st.sampled_from([None, QuadExt(1, 3), WIDE]))
     n = draw(st.integers(0, 12))
     num = draw(st.lists(part_ints, min_size=n, max_size=n))
     unum = None if ext is None else draw(st.lists(st.one_of(st.just(0), part_ints), min_size=n, max_size=n))
@@ -209,8 +224,6 @@ def test_format_parts_is_format_element_of_the_values(parts):
 def test_format_parts_examples():
     assert format_parts([3, -4, 0, 6], None, 6, None) == ["1/2", "-2/3", "0", "1"]
     assert format_parts([1, 0, 2], [0, 1, -1], 2, QuadExt(1, 3)) == ["1/2", "0+1/2*t@(1,3)", "1+-1/2*t@(1,3)"]
-    # u = 6t, so (1 + u)/4 is 1/4 + 3/2 t
-    assert format_parts([1], [1], 4, SIXTH) == ["1/4+3/2*t@(1/3,5/2)"]
 
 
 def test_series_str_is_unchanged(reg):

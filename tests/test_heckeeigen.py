@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from qmforms import forms, linalg, linearize, oracle
-from qmforms.exactnum import FieldElement, QuadExt
+from qmforms.exactnum import QuadExt
 from qmforms.heckeeigen import (
     Registry,
     _multiplicative_ok,
@@ -272,12 +273,6 @@ def test_multiplicativity_check_on_every_registry_newform(reg512):
         if nf.ext is not None:
             t = nf.ext.gen()
             assert not _multiplicative_ok(f + q6 * t, k, n), label
-            # the same form over a descriptor that clears to e = 9: s = t/3
-            ext = QuadExt(nf.ext.p / 3, nf.ext.q / 9)
-            g = QSeries([FieldElement(c.a, 3 * c.b, ext) if isinstance(c, FieldElement) else c
-                         for c in f.coeffs], ext=ext)
-            assert _multiplicative_ok(g, k, n), label
-            assert not _multiplicative_ok(g + q6 * ext.gen(), k, n), label
 
 
 def _gcd(a, b):
@@ -297,6 +292,15 @@ def test_registry_labels_and_tau(reg):
     for name in ("tau_4", "tau_4_11_2_1", "sigma_4_11", "4.11.2"):
         with pytest.raises(KeyError):
             reg.tau(name)
+
+
+@pytest.mark.parametrize("lookup, name", [
+    ("newform", "4.11.0"), ("newform", "4.11.3"), ("newform", "4.11"), ("newform", "12.1.1.5"),
+    ("newform", "x.11.1"), ("tau", "tau_4_11_0"), ("tau", "tau_4_11_3"), ("tau", "tau_x_11"),
+])
+def test_malformed_or_out_of_range_labels_raise_key_error(reg, lookup, name):
+    with pytest.raises(KeyError, match=re.escape(repr(name))):
+        getattr(reg, lookup)(name)
 
 
 def test_newform_serialization(reg):

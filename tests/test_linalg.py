@@ -12,7 +12,7 @@ from qmforms.qseries import PrecisionError, QSeries
 from test_qseries_parts import ValueTupleForbidden
 
 EXT = QuadExt(2, 2)  # t^2 = 2t + 2
-EXT3 = QuadExt(Fraction(1, 3), Fraction(5, 2))  # cleared to integers with e = 6
+EXT3 = QuadExt(2, 90)  # t^2 = 2t + 90: P != 0 and a large N
 
 rationals = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
 quadratics = st.builds(lambda a, b: FieldElement(a, b, EXT), rationals, rationals)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmforms.exactnum import FieldElement, FieldMismatch, QuadExt, conj
+from qmforms.exactnum import FieldElement, FieldMismatch, conj
 from qmforms.forms import eisenstein
 from qmforms.linalg import rref
 from qmforms.qseries import PrecisionError, QSeries, combine
-from test_qseries_product import (EXT, EXTS, OTHER, SIXTH, huge_ints, quadratic_coeffs, rational_coeffs,
+from test_qseries_product import (EXT, EXTS, OTHER, WIDE, huge_ints, quadratic_coeffs, rational_coeffs,
                                   rationals, series)
 
 rational_scalars = st.one_of(st.integers(-10**6, 10**6), huge_ints,
@@ -123,8 +123,8 @@ def test_integral_rational_series_read_their_numerators():
 
 @pytest.mark.parametrize("cs", [
     [3, Fraction(-5, 4), 0, 10**40, Fraction(7, 2)],
-    [1, FieldElement(Fraction(1, 2), Fraction(-2, 3), SIXTH), Fraction(1, 6), FieldElement(2, 0, SIXTH),
-     FieldElement(0, 5, SIXTH), FieldElement(Fraction(-1, 4), 7, SIXTH) * FieldElement(3, 1, SIXTH)],
+    [1, FieldElement(Fraction(1, 2), Fraction(-2, 3), WIDE), Fraction(1, 6), FieldElement(2, 0, WIDE),
+     FieldElement(0, 5, WIDE), FieldElement(Fraction(-1, 4), 7, WIDE) * FieldElement(3, 1, WIDE)],
 ])
 def test_coeff_reads_one_value_from_the_parts(cs):
     f = ValueTupleForbidden(cs, len(cs) + 1)
@@ -145,7 +145,7 @@ def test_different_descriptors_raise():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from([EXT, QuadExt(Fraction(1, 3), Fraction(5, 2))]), st.data())
+@given(st.sampled_from([EXT, WIDE]), st.data())
 def test_combinations(ext, data):
     field = st.one_of(rational_coeffs, st.builds(FieldElement, rationals, rationals, st.just(ext)))
     fs = data.draw(st.lists(series(field), min_size=1, max_size=5))
