@@ -285,6 +285,8 @@ def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t:
 # ---------------------------------------------------------------------------
 # the textual expression language
 
+# CPython's default int-to-string limit is 4300 digits: `expand` could not print a larger constant
+_UNPRINTABLE = 10**4300
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9.]*|\^|\*|\+|\-|/|\(|\)|,)")
 
 
@@ -391,13 +393,19 @@ class _Parser:
         return factors[0] if coeff == 1 else _scale(coeff, factors[0])
 
     def factor(self) -> FormExpr:
+        start = self.i
         base = self.primary()
         if not self.accept("^"):
             return base
         m = self.integer()
-        if base.kind == "const":
-            return _mk("const", (base.params[0] ** m,))
-        return _mk("power", (base, m), base.weight * m, base.depth * m, base.level)
+        if base.kind != "const":
+            return _mk("power", (base, m), base.weight * m, base.depth * m, base.level)
+        c = base.params[0]
+        big = max(abs(c.numerator), c.denominator)
+        # big**m has at least m*(bit_length - 1) bits, so a power far too large is refused unpowered
+        if m * (big.bit_length() - 1) < _UNPRINTABLE.bit_length() and big**m < _UNPRINTABLE:
+            return _mk("const", (c**m,))
+        raise ValueError(f"constant power {''.join(self.toks[start : self.i])} has more than 4300 digits")
 
     def primary(self) -> FormExpr:
         t = self.next()

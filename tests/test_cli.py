@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -358,3 +359,19 @@ def test_one_parser_serves_every_call_without_leaking_state(monkeypatch, capsys)
     prec = cli.RunConfig().precision
     assert human == 0 and human_out.startswith("E(2)*E(2,3) = 1 + -24*q + -72*q^2 + ")
     assert human_out.endswith(f"*q^{prec} (prec {prec}, field Q)\n")
+
+
+@pytest.mark.parametrize("expr", ["41^24999999", "41^24999", "(1/41)^24999"])
+def test_a_constant_power_past_4300_digits_is_refused_quickly(capsys, expr):
+    t0 = time.perf_counter()
+    code = main(["expand", expr, "--prec", "8"])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert capsys.readouterr().err == f"error: constant power {expr} has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("expr, constant", [("41^2499", 41**2499), ("2^14000*E(4)", 2**14000)])
+def test_constant_powers_within_4300_digits_still_expand(capsys, expr, constant):
+    code, out = run(capsys, "expand", expr, "--prec", "4", "--format", "jsonl")
+    assert code == 0
+    assert json.loads(out)["coeffs"][0] == str(constant)

@@ -1,14 +1,17 @@
 """The Kronecker-substitution series product against the schoolbook product."""
 
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmforms import qseries
 from qmforms.exactnum import FieldElement, FieldMismatch, QuadExt
 from qmforms.forms import eisenstein, named_form, phi
-from qmforms.qseries import QSeries, eta_quotient
+from qmforms.qseries import QSeries, _int_product, eta_quotient
 
 
 def schoolbook(f: QSeries, g: QSeries) -> QSeries:
@@ -106,3 +109,91 @@ def test_truncation_commutes_with_the_product():
         for g in forms:
             assert (f * g).truncate(128) == f.truncate(128) * g.truncate(128)
     assert_same_product(forms[0].truncate(128), forms[1].truncate(128))
+
+
+# -- the int kernel ------------------------------------------------------------
+
+
+def convolution(xs, ys):
+    """Reference kernel: the first len(xs) coefficients, one dot product each."""
+    return [sum(map(mul, xs[: k + 1], reversed(ys[: k + 1]))) for k in range(len(xs))]
+
+
+KERNEL_STRIDES = (1,) * 8 + tuple(range(2, 15)) + (30, 100, 500)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two int lists of one length up to 700, or one list twice.
+
+    Widths from 0 to 160 bits put packed sizes on both sides of the cutoff.
+    Each list is in q^d for a drawn d (d = 1 is dense; the large d put
+    d*d on both sides of n), and its coefficients
+    are random, all at one extreme (the digit bound is then nearly tight), zero
+    or a constant.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    n = rnd.randint(1, 700)
+
+    def operand(stride):
+        top = 1 << rnd.choice((0, 1, 3, 8, 20, 40, 80, 160))
+        shape = rnd.choices(("random", "extreme", "zero", "constant"), (12, 4, 1, 1))[0]
+        xs = [0] * n
+        if shape == "constant":
+            xs[0] = rnd.randint(-top, top)
+        elif shape != "zero":
+            sign = rnd.choice((-1, 1))
+            xs[::stride] = [sign * top if shape == "extreme" else rnd.randint(-top, top) for _ in xs[::stride]]
+        return xs
+
+    sx = rnd.choice(KERNEL_STRIDES)
+    xs = operand(sx)
+    pick = rnd.random()
+    if pick < 0.15:
+        return xs, xs
+    return xs, operand(sx if pick < 0.4 else rnd.choice(KERNEL_STRIDES))
+
+
+# no max_examples: the active profile sets it, and `--hypothesis-profile=ci` (tests/conftest.py) raises it
+@settings(deadline=None, derandomize=True)
+@given(kernel_operands())
+def test_kernel_matches_the_convolution(operands):
+    xs, ys = operands
+    assert _int_product(xs, ys) == convolution(xs, ys)
+
+
+@pytest.mark.parametrize("n, nb", [(1, 1), (7, 2), (64, 8), (300, 4), (700, 12), (700, 40)])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_kernel_with_the_digit_bound_tight(n, nb, signs):
+    """Every coefficient at +-a, so q^(n-1) reaches the bound n*a*a: just below 2**(8*nb - 1), then just above."""
+    low = isqrt(((1 << (8 * nb - 1)) - 1) // n)
+    for a, bits in ((low, 8 * nb - 1), (low + 1, 8 * nb)):
+        assert (n * a * a).bit_length() == bits
+        xs, ys = [signs[0] * a] * n, [signs[1] * a] * n
+        assert _int_product(xs, ys) == convolution(xs, ys)
+        assert _int_product(xs, xs) == convolution(xs, xs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 101, 700])
+def test_kernel_on_zero_and_constant_operands(n):
+    dense = [(-1) ** i * (i * 7919 + 3) ** 5 for i in range(n)]
+    zero, constant = [0] * n, [-12345678901234567890] + [0] * (n - 1)
+    for xs, ys in [(zero, dense), (dense, zero), (zero, zero), (constant, dense), (dense, constant),
+                   (constant, constant), (dense, dense)]:
+        assert _int_product(xs, ys) == convolution(xs, ys)
+
+
+def test_a_product_in_q7_multiplies_lists_of_length_101(monkeypatch):
+    f, g = eisenstein(4, 1, 100), eisenstein(6, 1, 100)
+    lengths = []
+    kernel = qseries._int_product
+
+    def spy(xs, ys):
+        lengths.append(len(xs))
+        return kernel(xs, ys)
+
+    monkeypatch.setattr(qseries, "_int_product", spy)
+    h = f.rescale(7) * g.rescale(7)
+    assert lengths == [701, 101]
+    monkeypatch.undo()
+    assert h == (f * g).rescale(7)
