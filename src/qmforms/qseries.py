@@ -36,8 +36,8 @@ class PrecisionError(ValueError):
 
 # Packed bits from which two half-size multiplies beat one, about 4x CPython's
 # Karatsuba cutoff of 70 30-bit digits.  Their time over one multiply's (whole
-# kernel, Python 3.11, 2-core VM): 1.1-1.3 below 3k bits, 0.94-1.02 at 4-8k,
-# 0.83-0.97 at 9-25k, 0.72-0.88 past 28k.
+# kernel, Python 3.11, 2-core VM): 1.1-1.4 below 3k bits, 0.94-1.02 at 4-8k,
+# 0.77-0.97 at 9-25k, 0.72-0.88 past 28k.
 _KS2_BITS = 8192
 
 
