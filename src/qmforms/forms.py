@@ -371,7 +371,7 @@ class _Parser:
         return _scale(-1, e)
 
     def term(self) -> FormExpr:
-        coeff = Fraction(1)
+        start, coeff = self.i, Fraction(1)
         factors = []
         while True:
             sign = 1
@@ -379,7 +379,11 @@ class _Parser:
                 sign = -sign
             f = self.factor()
             if f.kind == "const":
+                # each factor is below 10**4300 (`factor`), so the product takes microseconds
                 coeff *= sign * f.params[0]
+                if max(abs(coeff.numerator), coeff.denominator) >= _UNPRINTABLE:
+                    raise ValueError(
+                        f"constant product {''.join(self.toks[start : self.i])} has more than 4300 digits")
             else:
                 coeff *= sign
                 factors.append(f)

@@ -6,7 +6,10 @@ one routine, `Echelon`; `rref`, `solve` and `nullspace` are thin entries to
 it.  `Echelon` eliminates fraction-free on the rows' integer parts as the
 QSeries holds them, over Z or over Z[t] (t**2 = P*t + N, exactnum.ext_ints),
 and turns each row of its transform T into a QSeries once, at the end;
-values are built only where a caller reads them.
+values are built only where a caller reads them.  `coords` checks x·A = v
+as one integer equation per part: an echelon packs its rows' integer parts
+once, one signed digit per column (Kronecker substitution, qseries._pack),
+so each check packs v and takes one scalar multiply per row part.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .exactnum import ext_ints, join_ext, scale_parts
-from .qseries import PrecisionError, QSeries, _make, combine
+from .qseries import PrecisionError, QSeries, _bias, _make, _pack, combine
 
 __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
@@ -120,6 +123,8 @@ class Echelon:
                 s0 = s0 * s0 + P * s0 * s1 - N * s1 * s1
             self.tseries.append(_make(n - 1, ext, a, b, s0))
         self.pivots, self.rank = tuple(pivots), len(pivots)
+        # the rows' integer parts packed over columns 0.._cols-1 at _nb bytes, with their bounds
+        self._cols, self._nb, self._maxes, self._packs = 0, 0, [], []
 
     @property
     def transform(self):
@@ -152,10 +157,10 @@ class Echelon:
 
         v is a QSeries or a sequence of values.  x matches v on the pivot
         columns, read from a truncation of v, so it is the combination of T's
-        rows weighted by those values; every column that v and the rows both
-        have is then checked in integer parts, and the first mismatch is
-        returned in place of None.  With no rows the span is {0}, checked on
-        every column of v.
+        rows weighted by those values.  Every column that v and the rows both
+        have is then checked at once, as one integer equation per part
+        (`_mismatch`), and the first mismatch is returned in place of None.
+        With no rows the span is {0}, checked on every column of v.
         """
         if not isinstance(v, QSeries):
             if not len(v):
@@ -164,12 +169,68 @@ class Echelon:
         if not self.tseries:
             return [], v.valuation()
         head = v.truncate(min(v.prec, max(self.pivots, default=0))).coeffs
-        x = list(combine([head[pc] for pc in self.pivots], self.tseries).coeffs)
+        xs = combine([head[pc] for pc in self.pivots], self.tseries)
         m = min(v.prec, self.ncols - 1)
-        if m < 0:
-            return x, None
-        rest = v.truncate(m) - combine(x, self.series, m)
-        return x, rest.valuation()
+        return list(xs.coeffs), None if m < 0 else self._mismatch(xs, v, m)
+
+    def _mismatch(self, xs, v, m):
+        """The first column c <= m where sum x_i A_i differs from v, or None.
+
+        With x_i = (a_i + b_i t) / d, row A_i = (X_i + Y_i t) / d_i,
+        v = (V + U t) / e, t**2 = P t + N and L the lcm of the d_i, the check
+        times d L e / g, g = gcd(d L, e), is two equations over Z, kv = d L / g
+        and s_i = (e / g)(L / d_i), the same Z[t] sum as `combine` forms:
+            D  = kv V - sum s_i (a_i X_i + N b_i Y_i) = 0,
+            D' = kv U - sum s_i (b_i X_i + (a_i + P b_i) Y_i) = 0.
+        Each list is packed into one int with a signed w-bit digit per column
+        (`_pack`), so D and D' are each one pack of v and one scalar multiply
+        per row part.  w is the least whole byte with 2**(w-1) above every
+        |row entry| and above each of sum |s_i a_i| max|X_i| + |s_i N b_i|
+        max|Y_i| + kv max|V| and its D' counterpart; then every digit of D
+        is that column's value, so D = 0 exactly when all columns agree, and
+        the lowest set bit of D lies in the digit of the first column that
+        differs, which is nonzero mod 2**w.  The rows are packed on the first
+        check and again only when a check needs more columns or a wider
+        digit; their columns past v's land past m and are not read.
+        """
+        live = [(i, a, b) for i, (a, b) in enumerate(zip(xs.num, xs.unum or repeat(0))) if a or b]
+        ext = reduce(join_ext, (self.series[i].ext for i, _, _ in live), xs.ext if xs.unum else None)
+        P, N = ext_ints(join_ext(v.ext, ext))
+        L = lcm(*(self.series[i].den for i, _, _ in live))
+        g = gcd(xs.den * L, v.den)
+        kv, kr = xs.den * L // g, v.den // g
+        if m >= self._cols:  # columns past the packs (all, at first): bound the rows there, pack again
+            self._cols, self._nb = m + 1, 0
+            self._maxes = [(max(map(abs, s.num[: m + 1])), max(map(abs, s.unum[: m + 1])) if s.unum else 0)
+                           for s in self.series]
+        vn, vu = v.num[: m + 1], v.unum and v.unum[: m + 1]
+        bn, bt = kv * max(map(abs, vn)), kv * max(map(abs, vu)) if vu else 0
+        terms = []  # (row, scalars on its X and Y in D, then in D')
+        for i, a, b in live:
+            s = kr * (L // self.series[i].den)
+            cx, cy, tx, ty = s * a, s * N * b, s * b, s * (a + P * b)
+            mx, my = self._maxes[i]
+            bn += abs(cx) * mx + abs(cy) * my
+            bt += abs(tx) * mx + abs(ty) * my
+            terms.append((i, cx, cy, tx, ty))
+        nb = (max(bn, bt, *map(max, self._maxes)).bit_length() + 8) // 8  # 2**(8*nb - 1) > each
+        if nb > self._nb:  # the packs are too narrow: pack every row again
+            bias, cut = _bias(nb, self._cols), self._cols
+            self._packs = [(_pack(s.num[:cut], nb, bias), s.unum and _pack(s.unum[:cut], nb, bias))
+                           for s in self.series]
+            self._nb = nb
+        nb = self._nb
+        bias = _bias(nb, m + 1)
+        d, dt = kv * _pack(vn, nb, bias), kv * _pack(vu, nb, bias) if vu else 0
+        for i, cx, cy, tx, ty in terms:
+            px, py = self._packs[i]
+            d -= cx * px
+            dt -= tx * px
+            if py:
+                d -= cy * py
+                dt -= ty * py
+        first = min((((r & -r).bit_length() - 1) // (8 * nb) for r in (d, dt) if r), default=m + 1)
+        return first if first <= m else None
 
 
 def rref(rows) -> Echelon:

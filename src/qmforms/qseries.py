@@ -41,6 +41,22 @@ class PrecisionError(ValueError):
 _KS2_BITS = 8192
 
 
+def _bias(nb: int, n: int) -> int:
+    """2**(8*nb - 1) in each of n nb-byte digits: the offset that `_pack` takes away."""
+    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * n, "little")
+
+
+def _pack(cs, nb: int, bias: int) -> int:
+    """sum cs[j] * 2**(8*nb*j) for ints |cs[j]| < 2**(8*nb - 1): one signed nb-byte digit each.
+
+    Each c + 2**(8*nb - 1) is written as an unsigned digit, and the offset
+    in the low len(cs) digits of bias = _bias(nb, n), n >= len(cs), is
+    taken off; a value past the width raises OverflowError.
+    """
+    digits = map(int.to_bytes, map(add, cs, repeat(1 << (8 * nb - 1))), repeat(nb), repeat("little"))
+    return int.from_bytes(b"".join(digits), "little") - (bias >> (bias.bit_length() - 8 * nb * len(cs)))
+
+
 def _int_product(xs, ys):
     """First n = len(xs) coefficients of the product of two int lists of length n.
 
@@ -82,12 +98,7 @@ def _int_product(xs, ys):
     if not bound:  # a zero operand; the digit width below also bounds each |x| and |y|
         return out
     nb = (bound.bit_length() + 8) // 8  # digit bytes: 2**(8*nb - 1) > bound
-    half = 1 << (8 * nb - 1)
-    bias = int.from_bytes(half.to_bytes(nb, "little") * n, "little")  # half in each of n digits
-
-    def pack(cs):
-        digits = map(int.to_bytes, map(add, cs, repeat(half)), repeat(nb), repeat("little"))
-        return int.from_bytes(b"".join(digits), "little") - (bias >> (8 * nb * (n - len(cs))))
+    half, bias = 1 << (8 * nb - 1), _bias(nb, n)
 
     def unpack(v, m):  # the low m digits of v, as signed values
         low = ((v + (bias >> (8 * nb * (n - m)))) & ((1 << (8 * nb * m)) - 1)).to_bytes(nb * m, "little")
@@ -96,18 +107,18 @@ def _int_product(xs, ys):
 
     if 1 < g and g * g <= n:  # ys becomes the operand in q^g, packed once for every residue class of xs
         xs, ys = (ys, xs) if gx == g else (xs, ys)
-        py = pack(ys[::g])
+        py = _pack(ys[::g], nb, bias)
         for r in range(g):
             sx = xs[r::g]
-            out[r::g] = unpack(pack(sx) * py, len(sx))
+            out[r::g] = unpack(_pack(sx, nb, bias) * py, len(sx))
         return out
     if 8 * nb * n < _KS2_BITS:
-        px = pack(xs)
-        return unpack(px * (px if ys is xs else pack(ys)), n)  # squaring one int is faster
+        px = _pack(xs, nb, bias)
+        return unpack(px * (px if ys is xs else _pack(ys, nb, bias)), n)  # squaring one int is faster
     b = 4 * nb
 
     def at_two_points(cs):
-        e, o = pack(cs[::2]), pack(cs[1::2]) << b
+        e, o = _pack(cs[::2], nb, bias), _pack(cs[1::2], nb, bias) << b
         return e + o, e - o
 
     xp, xm = at_two_points(xs)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmforms import linalg
 from qmforms.exactnum import FieldElement, QuadExt
 from qmforms.linalg import charpoly, nullspace, rref, solve
-from qmforms.qseries import PrecisionError, QSeries
+from qmforms.qseries import PrecisionError, QSeries, combine
 from test_qseries_parts import ValueTupleForbidden
 
 EXT = QuadExt(2, 2)  # t^2 = 2t + 2
@@ -210,3 +211,151 @@ def test_the_first_row_sets_the_columns():
         (cut.ncols, cut.pivots, cut.rows, cut.transform)
     with pytest.raises(PrecisionError):
         rref(rows[1:] + rows[:1])
+
+
+# -- the packed check of coords against the series difference ------------------
+
+
+def series_check(ech, v, x):
+    """Reference for coords' second result: the valuation of v - x·A in series arithmetic."""
+    m = min(v.prec, ech.ncols - 1)
+    return (v.truncate(m) - combine(x, ech.series, m)).valuation()
+
+
+WIDE_SCALES = (1, 1, 1, 10**40 + 7, Fraction(1, 10**30 + 3), FieldElement(10**25, -(10**24), EXT3),
+               FieldElement(0, 10**30 + 1, EXT3))
+
+
+@st.composite
+def packed_checks(draw):
+    """Rows over Q and Q(t) (t^2 = 2t + 90) and targets v checked in turn on one echelon.
+
+    Each v is a combination of the rows, as long as the last pivot or up to
+    four columns longer than the rows, with a mismatch planted at column 0,
+    at column m, in the t-part only, past v's precision or nowhere.  A target
+    scaled by a wide factor after a narrow one makes the later check need a
+    wider digit.  Each check comes with the column it must report when the
+    plant leaves x unchanged, else "ref" (only the reference applies).
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    t = EXT3.gen()
+    ncols, nrows = rnd.randint(1, 40), rnd.randint(1, 5)
+
+    def value(quad):
+        top, ttop = rnd.choice((9, 9, 10**6, 10**30)), rnd.choice((9, 9, 10**6, 10**30))
+        a = Fraction(rnd.randint(-top, top), rnd.choice((1, 1, 2, 3, 6)))
+        return a + t * rnd.randint(-ttop, ttop) if quad and rnd.random() < 0.5 else a
+
+    rows = []
+    for _ in range(nrows):
+        quad = rnd.random() < 0.4
+        rows.append([value(quad) if rnd.random() < 0.8 else 0 for _ in range(ncols)])
+    if nrows > 1 and rnd.random() < 0.5:  # a dependent row
+        rows[-1] = combination([rnd.randint(-2, 2) for _ in rows[:-1]], rows[:-1])
+    ech = rref([QSeries(r) for r in rows])
+    low = max(ech.pivots, default=0)
+    checks = []
+    for _ in range(rnd.randint(1, 4)):
+        scale = rnd.choice(WIDE_SCALES)
+        y = [scale * value(rnd.random() < 0.3) if rnd.random() < 0.8 else 0 for _ in rows]
+        full = combination(y, rows) + [value(True) for _ in range(4)]
+        p = rnd.randint(low, ncols + 3)
+        m = min(p, ncols - 1)
+        plant = rnd.choice(("none", "zero", "m", "t-part", "past"))
+        want = None
+        if plant == "zero":
+            full[0] += 1
+            want = 0
+        elif plant == "m":
+            full[m] += Fraction(1, 7)
+            want = m
+        elif plant == "t-part":
+            c = rnd.randint(0, m)
+            full[c] += t
+            want = c
+        elif plant == "past" and p < ncols - 1:
+            full[rnd.randint(p + 1, ncols - 1)] += 5  # a column the check must not read
+        if want is not None and want in ech.pivots:
+            want = "ref"  # the plant moves x, so the first failing column moves too
+        checks.append((QSeries(full[: p + 1]), want))
+    if rnd.random() < 0.3:  # a wide target after a narrow one
+        v, want = checks[0]
+        checks.append((v * (10**60 + 1), want))
+    return [QSeries(r) for r in rows], checks
+
+
+# no max_examples: the active profile sets it, and `--hypothesis-profile=ci` (tests/conftest.py) raises it
+@settings(deadline=None, derandomize=True)
+@given(packed_checks())
+def test_packed_check_matches_the_series_difference(case):
+    rows, checks = case
+    ech = rref(rows)
+    for v, want in checks:
+        x, fail = ech.coords(v)
+        assert fail == series_check(ech, v, x)
+        if want != "ref":
+            assert fail == want
+
+
+def test_packed_check_on_a_zero_target_and_on_no_rows():
+    t = EXT3.gen()
+    ech = rref([QSeries([1, t, 3]), QSeries([0, 2, Fraction(1, 5)])])
+    assert ech.coords(QSeries([0], 2)) == ([0, 0], None)
+    assert ech.coords(QSeries([0], 9)) == ([0, 0], None)
+    assert ech.coords(QSeries([0, 0, t])) == ([0, 0], 2)
+    empty = rref([])
+    assert empty.coords(QSeries([0], 3)) == ([], None)
+    assert empty.coords(QSeries([0, 0, t, 1])) == ([], 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9])
+def test_packed_check_at_a_byte_boundary(k):
+    """Entries of 2**(8k - 1), which need a digit of k + 1 bytes: in the rows, in v and in x·A alone."""
+    top, t = 1 << (8 * k - 1), EXT3.gen()
+    row = QSeries([1, top, -top, 0])
+    assert rref([row]).coords(QSeries([0, 0, 0, 0])) == ([0], None)
+    assert rref([row]).coords(QSeries([0, 0, top])) == ([0], 2)
+    assert rref([row]).coords(QSeries([1, top, -top, top])) == ([1], 3)
+    assert rref([row]).coords(QSeries([1, -top, top])) == ([1], 1)
+    # t-parts of v and x alone set the width: rows over Q, t-parts of top
+    ech = rref([QSeries([1, 0, 0]), QSeries([0, 1, 0])])
+    assert ech.coords(QSeries([top * t, top * t, t])) == ([top * t, top * t], 2)
+
+
+def test_a_first_failing_value_that_is_a_power_of_two():
+    """v - x·A is a multiple of 2**80 at the failing column: each part of the bound must count."""
+    t, big = EXT3.gen(), 1 << 40
+    assert rref([QSeries([1, -big])]).coords(QSeries([big, 0])) == ([big], 1)  # x·X
+    assert rref([QSeries([1, big * t])]).coords(QSeries([big, 0])) == ([big], 1)  # x·Y, in the t-part
+    assert rref([QSeries([1, big * t])]).coords(QSeries([big * t, 0])) == ([big * t], 1)
+    u = QuadExt(0, 3).gen()  # P = 0: only N·b·Y reaches the failing column
+    assert rref([QSeries([1, big * u])]).coords(QSeries([big * u, 0])) == ([big * u], 1)
+    assert rref([QSeries([1, 0])]).coords(QSeries([0, big * big])) == ([0], 1)  # v alone
+    assert rref([QSeries([1, 0])]).coords(QSeries([0, big * big * t])) == ([0], 1)  # v's t-part alone
+
+
+def test_a_stored_echelon_packs_its_rows_once(monkeypatch):
+    t = EXT3.gen()
+    rows = [QSeries([1, 2, 3, 4, 5, 6]), QSeries([0, 1, t, 0, 7, 1]), QSeries([0, 0, 1, 1, 1, 1])]
+    ech = rref(rows)
+    packed = []
+    pack = linalg._pack
+
+    def spy(cs, nb, bias):
+        packed.append(tuple(cs))
+        return pack(cs, nb, bias)
+
+    monkeypatch.setattr(linalg, "_pack", spy)
+    parts = [r.num for r in rows] + [rows[1].unum]
+    v = combine([2, Fraction(1, 3), -1], rows)
+    assert ech.coords(v) == ([2, Fraction(1, 3), -1], None)
+    assert sorted(packed) == sorted(parts + [v.num, v.unum])  # each row part, then v
+    del packed[:]
+    w = combine([1, 1, 1], rows)
+    assert ech.coords(w) == ([1, 1, 1], None)
+    assert packed == [w.num, w.unum]  # v alone: no row is packed again
+    del packed[:]
+    wide = w * (10**50 + 3) + QSeries([0, 0, 0, 0, 1])
+    x, fail = ech.coords(wide)
+    assert fail == 4 == series_check(ech, wide, x)
+    assert sorted(packed) == sorted(parts + [wide.num, wide.unum])  # a wider digit: every row part again
