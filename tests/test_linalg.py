@@ -105,6 +105,7 @@ def test_no_rows_span_only_zero():
     assert (ech.rank, ech.pivots, ech.rows, ech.kernel()) == (0, (), [], [])
     assert ech.coords([0, 0]) == ([], None)
     assert ech.coords([0, 3]) == ([], 1)
+    assert ech.coords(QSeries([0, 0, EXT3.gen(), 1])) == ([], 2)
     ech = rref([[], []])  # rows with no columns
     assert (ech.rank, ech.rows, ech.kernel(), ech.coords([])) == (0, [], [], ([0, 0], None))
 
@@ -232,7 +233,8 @@ def packed_checks(draw):
 
     Each v is a combination of the rows, as long as the last pivot or up to
     four columns longer than the rows, with a mismatch planted at column 0,
-    at column m, in the t-part only, past v's precision or nowhere.  A target
+    at column m, in the t-part only, past v's precision or nowhere; some
+    examples end with a zero target.  A target
     scaled by a wide factor after a narrow one makes the later check need a
     wider digit.  Each check comes with the column it must report when the
     plant leaves x unchanged, else "ref" (only the reference applies).
@@ -281,6 +283,8 @@ def packed_checks(draw):
     if rnd.random() < 0.3:  # a wide target after a narrow one
         v, want = checks[0]
         checks.append((v * (10**60 + 1), want))
+    if rnd.random() < 0.1:
+        checks.append((QSeries([0], rnd.randint(low, ncols + 3)), None))
     return [QSeries(r) for r in rows], checks
 
 
@@ -297,15 +301,12 @@ def test_packed_check_matches_the_series_difference(case):
             assert fail == want
 
 
-def test_packed_check_on_a_zero_target_and_on_no_rows():
+def test_packed_check_on_a_zero_target():
     t = EXT3.gen()
     ech = rref([QSeries([1, t, 3]), QSeries([0, 2, Fraction(1, 5)])])
     assert ech.coords(QSeries([0], 2)) == ([0, 0], None)
     assert ech.coords(QSeries([0], 9)) == ([0, 0], None)
     assert ech.coords(QSeries([0, 0, t])) == ([0, 0], 2)
-    empty = rref([])
-    assert empty.coords(QSeries([0], 3)) == ([], None)
-    assert empty.coords(QSeries([0, 0, t, 1])) == ([], 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 9])
@@ -326,6 +327,7 @@ def test_a_first_failing_value_that_is_a_power_of_two():
     """v - x·A is a multiple of 2**80 at the failing column: each part of the bound must count."""
     t, big = EXT3.gen(), 1 << 40
     assert rref([QSeries([1, -big])]).coords(QSeries([big, 0])) == ([big], 1)  # x·X
+    assert rref([QSeries([1, -big])]).coords(QSeries([big * t, 0])) == ([big * t], 1)  # x·X, in the t-part
     assert rref([QSeries([1, big * t])]).coords(QSeries([big, 0])) == ([big], 1)  # x·Y, in the t-part
     assert rref([QSeries([1, big * t])]).coords(QSeries([big * t, 0])) == ([big * t], 1)
     u = QuadExt(0, 3).gen()  # P = 0: only N·b·Y reaches the failing column
