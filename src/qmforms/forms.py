@@ -285,8 +285,9 @@ def char_eisenstein(k: int, psi: DirichletCharacter, chi: DirichletCharacter, t:
 # ---------------------------------------------------------------------------
 # the textual expression language
 
-# CPython's default int-to-string limit is 4300 digits: `expand` could not print a larger constant
-_UNPRINTABLE = 10**4300
+# CPython's default int-string limit: `expand` could not print a larger constant, nor int() read one
+_MAX_DIGITS = 4300
+_UNPRINTABLE = 10**_MAX_DIGITS
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9.]*|\^|\*|\+|\-|/|\(|\)|,)")
 
 
@@ -340,10 +341,12 @@ class _Parser:
         if got != t:
             raise ValueError(f"expected {t!r}, got {got!r}")
 
-    def integer(self) -> int:
-        t = self.next()
+    def integer(self, t=None) -> int:
+        t = self.next() if t is None else t
         if not t.isdigit():
             raise ValueError(f"expected an integer, got {t!r}")
+        if len(t) > _MAX_DIGITS:
+            raise ValueError(f"integer literal of {len(t)} digits is past the {_MAX_DIGITS}-digit limit")
         return int(t)
 
     def parse(self) -> FormExpr:
@@ -418,10 +421,10 @@ class _Parser:
             self.expect(")")
             return e
         if t.isdigit():
-            den = self.integer() if self.accept("/") else 1
+            num, den = self.integer(t), self.integer() if self.accept("/") else 1
             if den == 0:
                 raise ValueError(f"zero denominator in {t}/0")
-            return _mk("const", (Fraction(int(t), den),))
+            return _mk("const", (Fraction(num, den),))
         return self.call_or_name(t)
 
     def call_or_name(self, name: str) -> FormExpr:
@@ -539,10 +542,7 @@ def named_form(label: str, prec: int = DEFAULT_PREC):
         expr = _EXPRS[label]
     except KeyError:
         raise KeyError(f"unknown form label {label!r}") from None
-    series = _evaluate(expr, prec + _PREC_LOSS.get(label, 0))
-    if series.prec != prec:
-        series = series.truncate(prec)
-    return _DISPLAY[label], series
+    return _DISPLAY[label], _evaluate(expr, prec + _PREC_LOSS.get(label, 0))
 
 
 # ---------------------------------------------------------------------------

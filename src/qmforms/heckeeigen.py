@@ -149,7 +149,7 @@ def _split(space, is_old, fs=None, prime_idx=0):
         raise ValueError("characteristic polynomial did not factor")
     out = []
     for lam in sorted(set(roots), reverse=True):
-        gs = [combine(k, fs) for k in linalg.nullspace(_shift(op, lam))]
+        gs = [combine(QSeries(k), fs) for k in linalg.nullspace(_shift(op, lam))]
         if len(gs) > 1:
             out += _split(space, is_old, gs, prime_idx + 1)
         elif not is_old(gs[0]):
@@ -158,7 +158,7 @@ def _split(space, is_old, fs=None, prime_idx=0):
         kern = linalg.nullspace(_poly_of_matrix(qf, op))
         if len(kern) != 2:
             raise ValueError("unexpected multiplicity of a quadratic factor")
-        if all(is_old(combine(k, fs)) for k in kern):
+        if all(is_old(combine(QSeries(k), fs)) for k in kern):
             continue
         if not qf.totally_real:
             raise ValueError(
@@ -167,7 +167,7 @@ def _split(space, is_old, fs=None, prime_idx=0):
         kern = linalg.nullspace(_shift(op, qf.ext().gen()))
         if len(kern) != 1:
             raise ValueError("quadratic eigenvalue is not simple")
-        out.append(combine(kern[0], fs))
+        out.append(combine(QSeries(kern[0]), fs))
     return out
 
 
@@ -255,7 +255,7 @@ def multiplicativity_solve(space: forms.QMBasis) -> list[Newform]:
     seen = []
     parts = []
     for xs in candidates:
-        f = combine([1] + [xs[j] for j in range(2, dim + 1)], space.series())
+        f = combine(QSeries([1] + [xs[j] for j in range(2, dim + 1)]), space.series())
         key = tuple(f.coeff_list(min(10, f.prec)))
         if key in seen:
             continue

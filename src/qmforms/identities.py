@@ -199,7 +199,8 @@ def rhs_sweep(spec: IdentitySpec, n_max: int, tau) -> QSeries:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return combine([t.coeff for t in spec.rhs], [_term_series(t, n_max, tau) for t in spec.rhs], n_max)
+    cs = QSeries([t.coeff for t in spec.rhs])
+    return combine(cs, [_term_series(t, n_max, tau) for t in spec.rhs], n_max)
 
 
 def _rational_parts(spec: IdentitySpec, rhs: QSeries, lo: int):

@@ -5,11 +5,13 @@ sequences of values or QSeries.  Every elimination in the engine goes through
 one routine, `Echelon`; `rref`, `solve` and `nullspace` are thin entries to
 it.  `Echelon` eliminates fraction-free on the rows' integer parts as the
 QSeries holds them, over Z or over Z[t] (t**2 = P*t + N, exactnum.ext_ints),
-and turns each row of its transform T into a QSeries once, at the end;
-values are built only where a caller reads them.  `coords` checks x·A = v
-as one integer equation per part: an echelon packs its rows' integer parts
-once, one signed digit per column (Kronecker substitution, qseries._pack),
-so each check packs v and takes one scalar multiply per row part.
+and turns each row of its transform T into a QSeries once, at the end.
+Everything else is read off T in integer parts: the rows of R and the
+coordinates are `qseries.combine`s of T's rows, and a kernel is T's rows past
+the rank.  `coords` checks x·A = v as one integer equation per part, with
+`combine`'s own scalars: an echelon packs its rows' integer parts once, one
+signed digit per column (Kronecker substitution, qseries._pack), so each
+check packs v and takes one scalar multiply per row part.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .exactnum import ext_ints, join_ext, scale_parts
-from .qseries import PrecisionError, QSeries, _bias, _make, _pack, combine
+from .qseries import PrecisionError, QSeries, _bias, _make, _pack, _zt_terms, combine
 
 __all__ = ["Echelon", "rref", "nullspace", "solve", "charpoly"]
 
@@ -133,34 +135,24 @@ class Echelon:
 
     @cached_property
     def row_series(self):
-        """The nonzero rows of R as series."""
-        return [combine(tk.coeffs, self.series, self.ncols - 1) for tk in self.tseries[: self.rank]]
+        """The nonzero rows of R as series, each T's row combined in integer parts."""
+        return [combine(tk, self.series, self.ncols - 1) for tk in self.tseries[: self.rank]]
 
     @property
     def rows(self):
         """The nonzero rows of R as value lists, built from `row_series` on each read."""
         return [list(r.coeffs) for r in self.row_series]
 
-    def kernel(self):
-        """Basis of the right kernel {x : A x = 0}, one vector per free column."""
-        basis, rows = [], self.rows
-        for fc in (c for c in range(self.ncols) if c not in self.pivots):
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for row, pc in zip(rows, self.pivots):
-                v[pc] = -row[fc]
-            basis.append(v)
-        return basis
-
     def coords(self, v):
         """Coordinates x over the input rows, and the first column where x·A != v.
 
         v is a QSeries or a sequence of values.  x matches v on the pivot
-        columns, read from a truncation of v, so it is the combination of T's
-        rows weighted by those values.  Every column that v and the rows both
-        have is then checked at once, as one integer equation per part
-        (`_mismatch`), and the first mismatch is returned in place of None.
-        With no rows the span is {0}, checked on every column of v.
+        columns, so it is the combination of T's rows weighted by v's parts
+        there.  Every column that v and the rows both have is then checked at
+        once, as one integer equation per part (`_mismatch`), and the first
+        mismatch is returned in place of None.  With no rows the span is {0},
+        checked on every column of v.  A v that stops before the last pivot
+        raises PrecisionError.
         """
         if not isinstance(v, QSeries):
             if not len(v):
@@ -168,59 +160,55 @@ class Echelon:
             v = QSeries(v)
         if not self.tseries:
             return [], v.valuation()
-        head = v.truncate(min(v.prec, max(self.pivots, default=0))).coeffs
-        xs = combine([head[pc] for pc in self.pivots], self.tseries)
+        if self.pivots and v.prec < self.pivots[-1]:
+            raise PrecisionError(f"target precision {v.prec} is below the last pivot {self.pivots[-1]}")
+        u, pcs = v.unum, self.pivots
+        xs = combine(_make(self.rank - 1, v.ext, [v.num[c] for c in pcs], u and [u[c] for c in pcs], v.den),
+                     self.tseries)
         m = min(v.prec, self.ncols - 1)
         return list(xs.coeffs), None if m < 0 else self._mismatch(xs, v, m)
 
     def _mismatch(self, xs, v, m):
         """The first column c <= m where sum x_i A_i differs from v, or None.
 
-        With x_i = (a_i + b_i t) / d, row A_i = (X_i + Y_i t) / d_i,
-        v = (V + U t) / e, t**2 = P t + N and L the lcm of the d_i, the check
-        times d L e / g, g = gcd(d L, e), is two equations over Z, kv = d L / g
-        and s_i = (e / g)(L / d_i), the same Z[t] sum as `combine` forms:
-            D  = kv V - sum s_i (a_i X_i + N b_i Y_i) = 0,
-            D' = kv U - sum s_i (b_i X_i + (a_i + P b_i) Y_i) = 0.
+        `combine`'s scalars (`_zt_terms`) give sum x_i A_i as (S + S' t) / D,
+        S = sum kx_i X_i + ky_i Y_i and S' = sum tx_i X_i + ty_i Y_i over the
+        rows' integer parts A_i = (X_i + Y_i t) / d_i.  With v = (V + U t) / e
+        and g = gcd(D, e), the check times D e / g is two equations over Z,
+        with kv = D / g and kr = e / g:
+            kv V - kr S = 0,    kv U - kr S' = 0.
         Each list is packed into one int with a signed w-bit digit per column
-        (`_pack`), so D and D' are each one pack of v and one scalar multiply
-        per row part.  w is the least whole byte with 2**(w-1) above every
-        |row entry| and above each of sum |s_i a_i| max|X_i| + |s_i N b_i|
-        max|Y_i| + kv max|V| and its D' counterpart; then every digit of D
-        is that column's value, so D = 0 exactly when all columns agree, and
-        the lowest set bit of D lies in the digit of the first column that
-        differs, which is nonzero mod 2**w.  The rows are packed on the first
-        check and again only when a check needs more columns or a wider
+        (`_pack`), so each side is one pack of v and one scalar multiply per
+        row part.  w is the least whole byte with 2**(w-1) above every
+        |row entry| and above each of sum kr (|kx_i| max|X_i| + |ky_i|
+        max|Y_i|) + kv max|V| and its t-part counterpart; then every digit is
+        that column's value, so a side is 0 exactly when all its columns
+        agree, and its lowest set bit lies in the digit of the first column
+        that differs, which is nonzero mod 2**w.  The rows are packed on the
+        first check and again only when a check needs more columns or a wider
         digit; their columns past v's land past m and are not read.
         """
-        live = [(i, a, b) for i, (a, b) in enumerate(zip(xs.num, xs.unum or repeat(0))) if a or b]
-        ext = reduce(join_ext, (self.series[i].ext for i, _, _ in live), xs.ext if xs.unum else None)
-        P, N = ext_ints(join_ext(v.ext, ext))
-        L = lcm(*(self.series[i].den for i, _, _ in live))
-        g = gcd(xs.den * L, v.den)
-        kv, kr = xs.den * L // g, v.den // g
+        live, den, _ = _zt_terms(xs, self.series)
+        g = gcd(den, v.den)
+        kv, kr = den // g, v.den // g
         if m >= self._cols:  # columns past the packs (all, at first): bound the rows there, pack again
             self._cols, self._nb = m + 1, 0
             self._maxes = [(max(map(abs, s.num[: m + 1])), max(map(abs, s.unum[: m + 1])) if s.unum else 0)
                            for s in self.series]
         vn, vu = v.num[: m + 1], v.unum and v.unum[: m + 1]
         bn, bt = kv * max(map(abs, vn)), kv * max(map(abs, vu)) if vu else 0
-        terms = []  # (row, scalars on its X and Y in D, then in D')
-        for i, a, b in live:
-            s = kr * (L // self.series[i].den)
-            cx, cy, tx, ty = s * a, s * N * b, s * b, s * (a + P * b)
+        terms = [(i, kr * kx, kr * ky, kr * tx, kr * ty) for i, kx, ky, tx, ty in live]
+        for i, cx, cy, tx, ty in terms:
             mx, my = self._maxes[i]
             bn += abs(cx) * mx + abs(cy) * my
             bt += abs(tx) * mx + abs(ty) * my
-            terms.append((i, cx, cy, tx, ty))
         nb = (max(bn, bt, *map(max, self._maxes)).bit_length() + 8) // 8  # 2**(8*nb - 1) > each
         if nb > self._nb:  # the packs are too narrow: pack every row again
             bias, cut = _bias(nb, self._cols), self._cols
             self._packs = [(_pack(s.num[:cut], nb, bias), s.unum and _pack(s.unum[:cut], nb, bias))
                            for s in self.series]
             self._nb = nb
-        nb = self._nb
-        bias = _bias(nb, m + 1)
+        nb, bias = self._nb, _bias(self._nb, m + 1)
         d, dt = kv * _pack(vn, nb, bias), kv * _pack(vu, nb, bias) if vu else 0
         for i, cx, cy, tx, ty in terms:
             px, py = self._packs[i]
@@ -239,8 +227,12 @@ def rref(rows) -> Echelon:
 
 
 def nullspace(rows):
-    """Basis of the right kernel of the matrix, one vector per free column."""
-    return rref(rows).kernel()
+    """Basis of the right kernel {x : A x = 0}: T's rows past the rank for A's transpose.
+
+    Each is 1 at its own column and 0 at the transpose's other non-pivot rows.
+    """
+    ech = rref([list(col) for col in zip(*rows)])
+    return [list(tk.coeffs) for tk in ech.tseries[ech.rank :]]
 
 
 def solve(rows, rhs):

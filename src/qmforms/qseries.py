@@ -8,7 +8,9 @@ for the ints (P, N) = exactnum.ext_ints(ext).  unum holds the t-parts and is
 None when every t-part is zero.  Every ring operation is integer vector
 arithmetic on these parts; a product is one big-int multiply, or two of half
 the size above a cutoff (three products over Q(t)), taken on the q^d
-subsequences when an operand is in q^d.  The parts are all a series stores:
+subsequences when an operand is in q^d.  `combine` weights series by the
+coefficients of a series, by the one Z[t] rule (`_zt_terms`) that `linalg`'s
+coordinate check shares.  The parts are all a series stores:
 `coeffs` builds the values on each read, ints where integral, Fractions
 otherwise, FieldElements only where the t-part is nonzero, and `coeff(n)`
 builds only its own value.
@@ -405,37 +407,40 @@ class QSeries:
                 "coeffs": self.strings(self.prec)}
 
 
-def combine(cs, series, prec=None) -> QSeries:
-    """sum c_i * f_i, at precision prec or the smallest of the f_i.
+def _zt_terms(cs: QSeries, series):
+    """The integer scalars of sum c_i * f_i over Z[t], c_i the coefficients of cs.
 
-    One pass per part of each term, over one denominator: with
-    c_i = (x_i + y_i t) / d, f_i = (X_i + Y_i t) / d_i, L the lcm of the d_i
-    and t^2 = P t + N, the sum times d L is
-    sum (L / d_i) (x_i X_i + N y_i Y_i + (y_i X_i + (x_i + P y_i) Y_i) t).
+    With c_i = (x_i + y_i t) / d, f_i = (X_i + Y_i t) / d_i, L the lcm of the
+    d_i over the nonzero c_i and t^2 = P t + N, the sum times d L is
+        sum (L / d_i) (x_i X_i + N y_i Y_i + (y_i X_i + (x_i + P y_i) Y_i) t).
+    Returns (terms, d L, ext): one (i, kx, ky, tx, ty) per nonzero c_i, the
+    scalars on X_i and Y_i in the rational part, then in the t-part, and the
+    descriptor joined from cs and those f_i.
     """
+    live = [(i, x, y) for i, (x, y) in enumerate(zip(cs.num, cs.unum or repeat(0))) if x or y]
+    ext = reduce(join_ext, (series[i].ext for i, _, _ in live), cs.ext)
+    P, N = ext_ints(ext)
+    L = lcm(*(series[i].den for i, _, _ in live))
+    terms = [(i, (k := L // series[i].den) * x, k * N * y, k * y, k * (x + P * y)) for i, x, y in live]
+    return terms, cs.den * L, ext
+
+
+def combine(cs: QSeries, series, prec=None) -> QSeries:
+    """sum c_i * f_i for the coefficients c_i of cs, at precision prec or the smallest of the f_i."""
     prec = min(f.prec for f in series) if prec is None else prec
-    terms = [(c, f) for c, f in zip(cs, series) if c]
+    terms, den, ext = _zt_terms(cs, series)
     if not terms:
         return zero(prec)
-    low = min(f.prec for _, f in terms)
+    low = min(series[i].prec for i, *_ in terms)
     if not 0 <= prec <= low:
         raise PrecisionError(f"cannot take precision {prec} from precision {low}")
-    xs, ys, d, ext = split_parts([c for c, _ in terms])
-    ys = ys or [0] * len(xs)
-    ext = reduce(join_ext, (f.ext for _, f in terms), ext)
-    P, N = ext_ints(ext)
-    L = lcm(*(f.den for _, f in terms))
     num, unum = [0] * (prec + 1), [0] * (prec + 1)
-    for (_, f), x, y in zip(terms, xs, ys):
-        parts = [(num, x, f.num), (unum, y, f.num)]
-        if f.unum:
-            parts += [(num, N * y, f.unum), (unum, x + P * y, f.unum)]
-        k = L // f.den
-        for acc, c, vs in parts:
-            if c:
-                c *= k
+    for i, kx, ky, tx, ty in terms:
+        f = series[i]
+        for acc, c, vs in ((num, kx, f.num), (unum, tx, f.num), (num, ky, f.unum), (unum, ty, f.unum)):
+            if c and vs:
                 acc[:] = [s + c * v for s, v in zip(acc, vs)]
-    return _make(prec, ext, num, unum, d * L)
+    return _make(prec, ext, num, unum, den)
 
 
 def zero(prec: int, ext=None) -> QSeries:

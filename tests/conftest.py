@@ -4,8 +4,8 @@ from hypothesis import settings
 from qmforms.heckeeigen import registry
 
 # `pytest --hypothesis-profile=ci` gives every property test that sets no
-# max_examples of its own (the int-kernel sweep in test_qseries_product.py and
-# the packed-check sweep in test_linalg.py) ten times the default budget
+# max_examples of its own (the int-kernel sweep in test_qseries_product.py, and
+# the packed-check and nullspace sweeps in test_linalg.py) ten times the default budget
 settings.register_profile("ci", max_examples=1000)
 
 

@@ -380,6 +380,25 @@ def test_a_constant_product_past_4300_digits_is_refused_quickly(capsys, expr):
     assert capsys.readouterr().err == f"error: constant product {written} has more than 4300 digits\n"
 
 
+ONES = "1" * 4400
+
+
+@pytest.mark.parametrize("expr", [ONES, f"E(4)^{ONES}", f"eta(1^{ONES})"],
+                         ids=["literal", "exponent", "eta-spec"])
+def test_an_integer_literal_past_4300_digits_is_refused_quickly(capsys, expr):
+    t0 = time.perf_counter()
+    code = main(["expand", expr, "--prec", "2"])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert capsys.readouterr().err == "error: integer literal of 4400 digits is past the 4300-digit limit\n"
+
+
+def test_an_integer_literal_of_4300_digits_still_expands(capsys):
+    code, out = run(capsys, "expand", "9" * 4300, "--prec", "2", "--format", "jsonl")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["9" * 4300, "0", "0"]
+
+
 @pytest.mark.parametrize("expr, constant", [("41^2499", 41**2499), ("2^14000*E(4)", 2**14000),
                                              ("41^1000*41^1000", 41**2000), ("1728*delta", 1728),
                                              ("(1/41)^2499*41^2499*E(4)", 1)])

@@ -99,7 +99,7 @@ def test_each_newform_recombines_in_the_cusp_space(reg, k, n):
     sb = forms.space_basis(k, n, True, P)
     for nf in reg.space_newforms(k, n):
         coeffs = decompose(nf.series, sb).coefficients
-        assert combine(coeffs, sb.series()) == nf.series
+        assert combine(QSeries(coeffs), sb.series()) == nf.series
 
 
 @pytest.mark.parametrize("k, n, cuspidal", [(4, 13, False), (4, 11, True), (6, 10, True),

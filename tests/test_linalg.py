@@ -1,4 +1,4 @@
-"""The one echelon routine: transform, rows, kernel and coordinates."""
+"""The one echelon routine: transform, rows, kernels and coordinates."""
 
 from fractions import Fraction
 
@@ -39,6 +39,15 @@ def combination(x, rows):
     return [sum((a * r[c] for a, r in zip(x, rows)), 0) for c in range(len(rows[0]))]
 
 
+def check_kernel(rows, rank):
+    """nullspace(rows) is a basis of the right kernel: A v = 0, ncols - rank vectors, independent."""
+    kern = nullspace(rows)
+    for v in kern:
+        assert all(x == 0 for x in combination(v, list(map(list, zip(*rows)))))
+    assert len(kern) == len(rows[0]) - rank
+    assert rref(kern).rank == len(kern)
+
+
 def check_echelon(rows):
     ech = rref(rows)
     product = [combination(tk, rows) for tk in ech.transform]
@@ -47,8 +56,7 @@ def check_echelon(rows):
     for k, (row, pc) in enumerate(zip(ech.rows, ech.pivots)):
         assert all(x == 0 for x in row[:pc])
         assert [row[p] for p in ech.pivots] == [int(i == k) for i in range(ech.rank)]
-    for v in ech.kernel():
-        assert all(x == 0 for x in combination(v, list(map(list, zip(*rows)))))
+    check_kernel(rows, ech.rank)
     return ech
 
 
@@ -88,7 +96,7 @@ def test_field_element_rows_with_a_dependent_row():
     rows = [a, b, [x + t * y for x, y in zip(a, b)]]
     ech = check_echelon(rows)
     assert (ech.rank, ech.pivots) == (2, (0, 1))
-    assert len(ech.kernel()) == 2
+    assert len(nullspace(rows)) == 2
     check_coords(ech, rows, [t, 3, 0])
 
 
@@ -102,12 +110,12 @@ def test_pivot_is_the_first_nonzero_row_at_or_below_the_rank():
 
 def test_no_rows_span_only_zero():
     ech = rref([])
-    assert (ech.rank, ech.pivots, ech.rows, ech.kernel()) == (0, (), [], [])
+    assert (ech.rank, ech.pivots, ech.rows, nullspace([])) == (0, (), [], [])
     assert ech.coords([0, 0]) == ([], None)
     assert ech.coords([0, 3]) == ([], 1)
     assert ech.coords(QSeries([0, 0, EXT3.gen(), 1])) == ([], 2)
     ech = rref([[], []])  # rows with no columns
-    assert (ech.rank, ech.rows, ech.kernel(), ech.coords([])) == (0, [], [], ([0, 0], None))
+    assert (ech.rank, ech.rows, nullspace([[], []]), ech.coords([])) == (0, [], [], ([0, 0], None))
 
 
 def test_solve_unique_inconsistent_and_underdetermined():
@@ -120,6 +128,11 @@ def test_solve_unique_inconsistent_and_underdetermined():
 def test_nullspace_and_charpoly_of_a_small_matrix():
     assert nullspace([[1, 2], [2, 4]]) == [[-2, 1]]
     assert charpoly([[1, 2], [3, 4]]) == [-2, -5, 1]
+
+
+def test_coords_below_the_last_pivot_raise_a_precision_error():
+    with pytest.raises(PrecisionError, match="target precision 1 is below the last pivot 2"):
+        rref([[1, 0, 0], [0, 0, 1]]).coords(QSeries([1, 0]))
 
 
 # -- the fraction-free elimination against Gauss-Jordan over values ----------
@@ -193,7 +206,34 @@ def test_fraction_free_on_a_rank_deficient_mixed_matrix():
     rows = [[0, 0, 0, 0], a, b, [x * t + y for x, y in zip(a, b)], [2 * y for y in b]]
     check_against_values(rows)
     ech = rref(rows)
-    assert (ech.rank, ech.pivots, len(ech.kernel())) == (2, (0, 1), 2)
+    assert (ech.rank, ech.pivots, len(nullspace(rows))) == (2, (0, 1), 2)
+
+
+# no max_examples: the active profile sets it, and `--hypothesis-profile=ci` (tests/conftest.py) raises it
+@settings(deadline=None, derandomize=True)
+@given(st.one_of(matrices(), matrices(quadratics), mixed_matrices()))
+def test_nullspace_is_a_basis_of_the_right_kernel(rows):
+    check_kernel(rows, rref(rows).rank)
+
+
+def test_coords_and_row_series_build_no_values_of_the_target_or_of_t(monkeypatch):
+    """T's rows and the targets are series whose value tuples fail the test when read."""
+
+    def make(prec, ext, num, unum=None, den=1):
+        s = object.__new__(ValueTupleForbidden)
+        s._set(prec, ext, num, unum, den)
+        return s
+
+    monkeypatch.setattr(linalg, "_make", make)  # the echelon builds T's rows with it
+    t = EXT3.gen()
+    rows = [QSeries([1, 2, t, 4]), QSeries([0, Fraction(1, 3), 1, 5]), QSeries([2, 4, 2 * t, 8])]
+    ech = rref(rows)
+    assert all(isinstance(tk, ValueTupleForbidden) for tk in ech.tseries)
+    assert [list(r.coeffs) for r in ech.row_series] == [[1, 0, t - 6, -26], [0, 1, 3, 15]]
+    # rows 0 + 1, then cut at the last pivot, then off the span at column 3
+    for cs, fail in (([1, Fraction(7, 3), t + 1, 9], None), ([1, Fraction(7, 3)], None),
+                     ([1, Fraction(7, 3), t + 1, 10], 3)):
+        assert ech.coords(ValueTupleForbidden(cs)) == ([1, 1, 0], fail)
 
 
 def test_series_rows_build_no_values():
@@ -220,7 +260,7 @@ def test_the_first_row_sets_the_columns():
 def series_check(ech, v, x):
     """Reference for coords' second result: the valuation of v - x·A in series arithmetic."""
     m = min(v.prec, ech.ncols - 1)
-    return (v.truncate(m) - combine(x, ech.series, m)).valuation()
+    return (v.truncate(m) - combine(QSeries(x), ech.series, m)).valuation()
 
 
 WIDE_SCALES = (1, 1, 1, 10**40 + 7, Fraction(1, 10**30 + 3), FieldElement(10**25, -(10**24), EXT3),
@@ -349,11 +389,11 @@ def test_a_stored_echelon_packs_its_rows_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "_pack", spy)
     parts = [r.num for r in rows] + [rows[1].unum]
-    v = combine([2, Fraction(1, 3), -1], rows)
+    v = combine(QSeries([2, Fraction(1, 3), -1]), rows)
     assert ech.coords(v) == ([2, Fraction(1, 3), -1], None)
     assert sorted(packed) == sorted(parts + [v.num, v.unum])  # each row part, then v
     del packed[:]
-    w = combine([1, 1, 1], rows)
+    w = combine(QSeries([1, 1, 1]), rows)
     assert ech.coords(w) == ([1, 1, 1], None)
     assert packed == [w.num, w.unum]  # v alone: no row is packed again
     del packed[:]

@@ -153,13 +153,13 @@ def test_combinations(ext, data):
                             min_size=len(fs), max_size=len(fs)))
     low = min(f.prec for c, f in zip(cs, fs) if c) if any(cs) else min(f.prec for f in fs)
     prec = data.draw(st.integers(0, low))
-    got = combine(cs, fs, prec)
+    got = combine(QSeries(cs), fs, prec)
     want = [sum((c * f.coeffs[n] for c, f in zip(cs, fs) if c), 0) for n in range(prec + 1)]
     assert got.prec == prec and values(got) == want and got == QSeries(want, prec)
     assert_stored_types(got)
     if any(cs):
         with pytest.raises(PrecisionError):
-            combine(cs, fs, low + 1)
+            combine(QSeries(cs), fs, low + 1)
 
 
 # -- Echelon.coords on Q(t) rows: the residual check in integer parts ----------
