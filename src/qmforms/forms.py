@@ -2,16 +2,18 @@
 
 Every generator is a text in the form language: Eisenstein series, the
 weight-2 combinations phi(a,b), character Eisenstein series, eta quotients
-and the handful of derived constructions (rescalings, products, a cube root,
+and the handful of derived constructions (rescalings, products, n-th roots,
 one Rankin-Cohen bracket, Hecke images) the identity engine needs.  The
 language's functions are one table, `_FUNCTIONS`; `call` builds an
-expression of any of them.  The catalog names some forms; generator pools
-are lists of texts, and every series is built by `evaluate`.  Every solving
-space, modular or quasimodular, is one class, `QMBasis`.  Catalog forms, the
-other pool texts, generator pools and space bases are each built once per
-precision and stored (`lru_cache`, keyed by value), and so is each basis's
-echelon (`_echelon`, keyed by the basis).  Space dimensions are pinned in a
-table and every generator pool is rank-checked against it when echelonized.
+expression of any of them.  The catalog names some forms, each by the text
+it prints as and is built from, unless `_BUILT_AS` names a cheaper exact
+equal to build; generator pools are lists of texts, and every series is built
+by `evaluate`.  Every solving space, modular or quasimodular, is one class,
+`QMBasis`.  Catalog forms, the other pool texts, generator pools and space
+bases are each built once per precision and stored (`lru_cache`, keyed by
+value), and so is each basis's echelon (`_echelon`, keyed by the basis).
+Space dimensions are pinned in a table and every generator pool is
+rank-checked against it when echelonized.
 """
 
 from __future__ import annotations
@@ -195,6 +197,8 @@ _FUNCTIONS = {
                    lambda i, f, prec: evaluate(f, prec).derive(i)),
     "rescale": _Function(("form", "pos"), lambda f, d: (f.weight, f.depth, f.level * d),
                          lambda f, d, prec: evaluate(f, prec).rescale(d, prec)),
+    # typed by assertion only: root(f, n) is given weight k/n and f's level,
+    # which no check proves; no catalog form is built by a root
     "root": _Function(("form", "pos"), _root_meta, lambda f, n, prec: evaluate(f, prec).root(n)),
     "rc1": _Function(("form", "form"), _rc1_meta,
                      lambda f, g, prec: rc_bracket1(evaluate(f, prec), f.weight,
@@ -508,11 +512,21 @@ _CATALOG = {
     "g3_8_5": "-1/24*rc1(E(4),phi(1,5))",
 }
 
-# root(., 3) of a q^3 (1 + ...) series keeps exponents up to P - 2 of P
+# label -> an exact equal of its text, which named_form evaluates instead; the
+# label still prints as its text.  delta_4_7's text is a cube root, O(P^2) in
+# the root recurrence; the combination is its equal in M_4(Gamma0(7)), as the
+# tests prove: the combination's cube and the eta sum both lie in
+# M_12(Gamma0(7)) and agree past its Sturm bound of 8 coefficients, and
+# q^3 (1 + O(q)) has one cube root q (1 + O(q))
+_BUILT_AS = {"delta_4_7": "5/16*phi(1,7)^2 - 1/160*E(4) - 49/160*E(4,7)"}
+
+# root(., 3) of a q^3 (1 + ...) series keeps exponents up to P - 2 of P;
+# evaluate keeps that loss for the text delta_4_7 prints as
 _PREC_LOSS = {"delta_4_7": 2}
 
-_EXPRS: dict = {}    # label -> its parsed text
+_EXPRS: dict = {}    # label -> what named_form evaluates: its parsed text or _BUILT_AS equal
 _DISPLAY: dict = {}  # label -> what it prints as: its name if the text applies T
+_BY_EXPR: dict = {}  # its parsed text or display -> label; evaluate serves these from named_form
 
 
 def _applies_hecke(e: FormExpr) -> bool:
@@ -521,14 +535,13 @@ def _applies_hecke(e: FormExpr) -> bool:
 
 def _parse_catalog():
     for label, text in _CATALOG.items():
-        e = _EXPRS[label] = parse_expr(text)
+        e = parse_expr(text)
         _DISPLAY[label] = _mk("named", (label,), e.weight, e.depth, e.level) if _applies_hecke(e) else e
+        _BY_EXPR[e] = _BY_EXPR[_DISPLAY[label]] = label
+        _EXPRS[label] = parse_expr(_BUILT_AS[label]) if label in _BUILT_AS else e
 
 
 _parse_catalog()
-
-# sub-expressions evaluate serves from named_form's cache
-_BY_EXPR = {e: label for table in (_EXPRS, _DISPLAY) for label, e in table.items()}
 
 
 def catalog_labels() -> list[str]:
@@ -542,7 +555,7 @@ def named_form(label: str, prec: int = DEFAULT_PREC):
         expr = _EXPRS[label]
     except KeyError:
         raise KeyError(f"unknown form label {label!r}") from None
-    return _DISPLAY[label], _evaluate(expr, prec + _PREC_LOSS.get(label, 0))
+    return _DISPLAY[label], _evaluate(expr, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -138,11 +138,6 @@ class Echelon:
         """The nonzero rows of R as series, each T's row combined in integer parts."""
         return [combine(tk, self.series, self.ncols - 1) for tk in self.tseries[: self.rank]]
 
-    @property
-    def rows(self):
-        """The nonzero rows of R as value lists, built from `row_series` on each read."""
-        return [list(r.coeffs) for r in self.row_series]
-
     def coords(self, v):
         """Coordinates x over the input rows, and the first column where x·A != v.
 

@@ -207,9 +207,6 @@ class QSeries:
         u = self.unum
         return next((n for n, c in enumerate(self.num) if c or (u and u[n])), None)
 
-    def is_zero(self) -> bool:
-        return self.valuation() is None
-
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")

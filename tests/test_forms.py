@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import lcm
@@ -18,6 +21,7 @@ from qmforms.forms import (
     phi,
     space_basis,
 )
+from qmforms.qseries import QSeries
 
 P = 64
 
@@ -131,8 +135,8 @@ def test_echelon_unique_under_pool_permutation():
 
     rows = [s.coeffs for _, s in _build(_pool_texts(4, 6, False, _SPANNING_TAILS), P)]
     ech1, ech2 = rref(rows), rref(list(reversed(rows)))
-    rows1, piv1 = ech1.rows, ech1.pivots
-    rows2, piv2 = ech2.rows, ech2.pivots
+    rows1, piv1 = [list(r.coeffs) for r in ech1.row_series], ech1.pivots
+    rows2, piv2 = [list(r.coeffs) for r in ech2.row_series], ech2.pivots
     assert piv1 == piv2
     assert rows1 == rows2
 
@@ -234,8 +238,60 @@ def test_parse_expr_matches_direct_series():
     assert root.coeff_list(5) == [0, 1, -1, -2, -7, 16]
 
 
+ETA_SUM_4_7 = "eta(1^16*7^8) + 13*eta(1^12*7^12) + 49*eta(1^8*7^16)"
+
+
+def test_delta_4_7_combination_cubed_is_the_eta_sum():
+    """The catalog builds delta_4_7 as 5/16*phi(1,7)^2 - 1/160*E(4) - 49/160*E(4,7).
+
+    Proof that this is root(eta sum, 3): the combination's cube and the eta
+    sum both lie in M_12(Gamma0(7)), whose Sturm bound is 12/12 * [SL2(Z) :
+    Gamma0(7)] = 8 coefficients, so their agreement here (through q^512)
+    makes them equal; and q^3 (1 + O(q)) has one cube root q (1 + O(q)).
+    """
+    built, shown = forms._EXPRS["delta_4_7"], forms._DISPLAY["delta_4_7"]
+    assert shown == parse_expr(f"root({ETA_SUM_4_7},3)")
+    assert (built.weight, built.depth, built.level) == (shown.weight, shown.depth, shown.level) == (4, 0, 7)
+    d47 = named_form("delta_4_7", 512)[1]
+    assert d47.prec == 512
+    assert d47.power(3) == evaluate(parse_expr(ETA_SUM_4_7), 512)
+    # the label and the root text keep the root's loss of 2; the combination, typed, has none
+    assert evaluate(shown, 512).prec == 510
+    assert evaluate(parse_expr(forms._BUILT_AS["delta_4_7"]), 512) == d47
+
+
+def test_root_of_the_eta_sum_is_the_catalog_delta_4_7():
+    # QSeries.root called directly: evaluate of the root text is served from
+    # the catalog, so it never runs the root
+    root = evaluate(parse_expr(ETA_SUM_4_7), 512).root(3)
+    assert root.prec == 510
+    assert root == named_form("delta_4_7", 512)[1].truncate(510)
+
+
+def test_catalog_delta_4_7_takes_no_root(monkeypatch):
+    calls = []
+    real = QSeries.root
+    monkeypatch.setattr(QSeries, "root", lambda self, n: calls.append(n) or real(self, n))
+    series = named_form.__wrapped__("delta_4_7", 97)[1]  # a fresh evaluation, past the cache
+    assert (calls, series.prec) == ([], 97)
+
+
+def test_cold_registry_build_takes_no_root():
+    # a fresh interpreter, so no store holds a series built before the patch
+    code = ("from qmforms import forms, heckeeigen, qseries\n"
+            "def refuse(self, n): raise AssertionError('QSeries.root called')\n"
+            "qseries.QSeries.root = refuse\n"
+            "reg = heckeeigen.registry(512)\n"
+            "for label in reg.labels(): reg.newform(label)\n"
+            "for label in forms.catalog_labels(): forms.named_form(label, 512)\n")
+    src = os.path.dirname(os.path.dirname(forms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_hecke_operator_in_the_language():
-    assert evaluate(parse_expr("T(3,E(4)) - 28*E(4)"), P).is_zero()
+    assert evaluate(parse_expr("T(3,E(4)) - 28*E(4)"), P).valuation() is None
     e = parse_expr("T(2,f1_4_11)")
     assert str(e) == "T(2,eta(1^4*11^4))" and parse_expr(str(e)) == e
     assert (e.weight, e.depth, e.level) == (4, 0, 11)

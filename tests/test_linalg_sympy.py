@@ -25,7 +25,7 @@ def test_rref_matches_sympy(rows):
     ech = rref(rows)
     want, pivots = to_sympy(rows).rref()
     assert ech.pivots == pivots
-    assert ech.rows == [[from_sympy(x) for x in want.row(k)] for k in range(ech.rank)]
+    assert [list(r.coeffs) for r in ech.row_series] == [[from_sympy(x) for x in want.row(k)] for k in range(ech.rank)]
     assert all(x == 0 for x in want[ech.rank:, :])
 
 
